@@ -49,14 +49,18 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     pos = len(MAGIC)
     while pos < len(raw):
-        (name_len,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (rank,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        extents = struct.unpack_from(f"<{rank}I", raw, pos)
-        pos += 4 * rank
+        try:
+            (name_len,) = struct.unpack_from("<H", raw, pos)
+            pos += 2
+            name = raw[pos:pos + name_len].decode("utf-8")
+            pos += name_len
+            (rank,) = struct.unpack_from("<B", raw, pos)
+            pos += 1
+            extents = struct.unpack_from(f"<{rank}I", raw, pos)
+            pos += 4 * rank
+        except (struct.error, UnicodeDecodeError):
+            raise CheckpointError(
+                f"{path}: truncated or corrupt tensor header after {len(out)} tensor(s)") from None
         count = int(np.prod(extents)) if rank else 1
         end = pos + 8 * count
         if end > len(raw):

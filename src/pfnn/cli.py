@@ -19,6 +19,7 @@ import numpy as np
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
+    CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     experiment_from_mapping,
@@ -47,7 +48,6 @@ from .evalkit import (
     write_table2,
 )
 from .interpret import (
-    _capture_features,
     cam_case_gallery,
     pca,
     select_feature_layer,
@@ -129,24 +129,9 @@ def _merge_config(args) -> ExperimentConfig:
     mapping: dict[str, str] = {}
     if args.config:
         mapping.update(read_kv_file(args.config))
-    overrides = {
-        "conv_widths": args.conv_widths,
-        "kernel": args.kernel,
-        "head_units": args.head_units,
-        "dropout_rate": args.dropout_rate,
-        "classes": args.classes,
-        "enable_gagm": args.gagm,
-        "enable_sevector": args.sevector,
-        "reduction_ratio": args.reduction_ratio,
-        "learning_rate": args.learning_rate,
-        "batch_size": args.batch_size,
-        "max_epochs": args.max_epochs,
-        "lambda_fs": args.lambda_fs,
-        "val_fraction": args.val_fraction,
-        "test_fraction": args.test_fraction,
-        "seed": args.seed,
-    }
-    for key, value in overrides.items():
+    # a train flag overrides the config key its argparse dest is named after
+    for key in CONFIG_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
             mapping[key] = str(value)
     return experiment_from_mapping(mapping)
@@ -316,10 +301,9 @@ def cmd_pca(args) -> int:
             )
         selection_note = "explicitly requested"
 
-    feats = _capture_features(model, dataset.images, layer)
+    probs, feats = predict(model, dataset.images, feature_layer=layer)
     k = min(args.components, feats.shape[0] - 1, feats.shape[1])
     result = pca(feats, k, layer=layer)
-    probs, _ = predict(model, dataset.images)
     write_projections(result, dataset.labels, probs.argmax(axis=1), out_dir / "projections.csv")
     write_variance_curve(result.ratios, np.cumsum(result.ratios),
                          out_dir / "variance_selected.csv")
@@ -388,8 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head-units", dest="head_units", type=int)
     p.add_argument("--dropout-rate", dest="dropout_rate", type=float)
     p.add_argument("--classes", type=int)
-    p.add_argument("--gagm", choices=["on", "off"], help="dual-pooling fusion ablation switch")
-    p.add_argument("--sevector", choices=["on", "off"], help="channel-gate ablation switch")
+    p.add_argument("--gagm", dest="enable_gagm", choices=["on", "off"],
+                   help="dual-pooling fusion ablation switch")
+    p.add_argument("--sevector", dest="enable_sevector", choices=["on", "off"],
+                   help="channel-gate ablation switch")
     p.add_argument("--reduction-ratio", dest="reduction_ratio", type=int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)

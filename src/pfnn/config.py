@@ -1,25 +1,21 @@
 """Flat key=value experiment configuration shared by the CLI and run
-snapshots. Unknown keys are errors so a stale snapshot fails loudly."""
+snapshots. Unknown keys are errors so a stale snapshot fails loudly.
+
+The keys, their order and their text encoding all derive from the
+fields of ``ModelConfig``, ``TrainConfig`` and ``ExperimentConfig``:
+the model fields first, then the training fields, then the experiment's
+own. ``TrainConfig.seed`` has no key of its own; it copies the model
+seed.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, get_args, get_origin, get_type_hints
 
-from .layers import ModelConfig, config_from_mapping, config_to_mapping
+from .layers import ModelConfig
 from .trainer import TrainConfig
-
-MODEL_KEYS = frozenset({
-    "conv_widths", "kernel", "head_units", "dropout_rate", "classes",
-    "enable_gagm", "enable_sevector", "reduction_ratio", "seed",
-})
-TRAIN_KEYS = frozenset({
-    "learning_rate", "batch_size", "max_epochs", "lambda_fs", "rlrop_patience",
-    "rlrop_factor", "early_stop_patience", "min_delta", "val_fraction",
-})
-CLI_KEYS = frozenset({"test_fraction"})
-KNOWN_KEYS = MODEL_KEYS | TRAIN_KEYS | CLI_KEYS
 
 
 class ConfigError(ValueError):
@@ -51,42 +47,76 @@ class ExperimentConfig:
     train: TrainConfig
     test_fraction: float = 0.2
 
+    def __post_init__(self):
+        if not 0.0 <= self.test_fraction < 1.0:
+            raise ConfigError(f"test_fraction must be in [0,1), got {self.test_fraction}")
+
     @property
     def seed(self) -> int:
         return self.train.seed
 
 
+_TRUE = {"true", "on", "yes", "1"}
+_FALSE = {"false", "off", "no", "0"}
+
+
+def parse_bool(text: str) -> bool:
+    low = text.strip().lower()
+    if low in _TRUE:
+        return True
+    if low in _FALSE:
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _flat_fields() -> list[tuple[str | None, str, type]]:
+    """(ExperimentConfig field holding the key or None, key, type) in snapshot order."""
+    hints = get_type_hints(ExperimentConfig)
+    out = []
+    for outer in fields(ExperimentConfig):
+        hint = hints[outer.name]
+        if not is_dataclass(hint):
+            out.append((None, outer.name, hint))
+            continue
+        inner = get_type_hints(hint)
+        out += [(outer.name, f.name, inner[f.name]) for f in fields(hint)
+                if (hint, f.name) != (TrainConfig, "seed")]
+    return out
+
+
+_FIELDS = _flat_fields()
+CONFIG_KEYS = tuple(key for _, key, _ in _FIELDS)
+
+
+def _encode(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(map(_encode, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _decode(hint, text: str):
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return tuple(item(part) for part in text.split(",") if part.strip())
+    return parse_bool(text) if hint is bool else hint(text)
+
+
 def experiment_from_mapping(mapping: Mapping[str, str]) -> ExperimentConfig:
-    unknown = sorted(set(mapping) - KNOWN_KEYS)
+    """Decode string settings; keys left out keep their dataclass defaults."""
+    unknown = sorted(set(mapping) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    model = config_from_mapping(mapping)
-    train_kwargs = {}
-    for key in ("learning_rate", "lambda_fs", "rlrop_factor", "min_delta", "val_fraction"):
+    values: dict[str | None, dict] = {outer: {} for outer, _, _ in _FIELDS}
+    for outer, key, hint in _FIELDS:
         if key in mapping:
-            train_kwargs[key] = float(mapping[key])
-    for key in ("batch_size", "max_epochs", "rlrop_patience", "early_stop_patience"):
-        if key in mapping:
-            train_kwargs[key] = int(mapping[key])
-    train = TrainConfig(seed=model.seed, **train_kwargs)
-    test_fraction = float(mapping.get("test_fraction", "0.2"))
-    if not 0.0 <= test_fraction < 1.0:
-        raise ConfigError(f"test_fraction must be in [0,1), got {test_fraction}")
-    return ExperimentConfig(model=model, train=train, test_fraction=test_fraction)
+            values[outer][key] = _decode(hint, mapping[key])
+    model = ModelConfig(**values["model"])
+    train = TrainConfig(seed=model.seed, **values["train"])
+    return ExperimentConfig(model=model, train=train, **values[None])
 
 
 def experiment_to_mapping(config: ExperimentConfig) -> dict[str, str]:
-    out = config_to_mapping(config.model)
-    out.update({
-        "learning_rate": repr(config.train.learning_rate),
-        "batch_size": str(config.train.batch_size),
-        "max_epochs": str(config.train.max_epochs),
-        "lambda_fs": repr(config.train.lambda_fs),
-        "rlrop_patience": str(config.train.rlrop_patience),
-        "rlrop_factor": repr(config.train.rlrop_factor),
-        "early_stop_patience": str(config.train.early_stop_patience),
-        "min_delta": repr(config.train.min_delta),
-        "val_fraction": repr(config.train.val_fraction),
-        "test_fraction": repr(config.test_fraction),
-    })
-    return out
+    return {key: _encode(getattr(getattr(config, outer) if outer else config, key))
+            for outer, key, _ in _FIELDS}

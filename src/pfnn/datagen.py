@@ -249,14 +249,17 @@ def read_dataset(path) -> LabeledImageSet:
     if not raw.startswith(MAGIC):
         raise ValueError(f"{path}: bad magic, not a MIDS1 dataset")
     pos = len(MAGIC)
-    n, h, w, num_classes = struct.unpack_from("<4I", raw, pos)
-    pos += 16
-    names = []
-    for _ in range(num_classes):
-        (length,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        names.append(raw[pos:pos + length].decode("utf-8"))
-        pos += length
+    try:
+        n, h, w, num_classes = struct.unpack_from("<4I", raw, pos)
+        pos += 16
+        names = []
+        for _ in range(num_classes):
+            (length,) = struct.unpack_from("<H", raw, pos)
+            pos += 2
+            names.append(raw[pos:pos + length].decode("utf-8"))
+            pos += length
+    except (struct.error, UnicodeDecodeError):
+        raise ValueError(f"{path}: truncated or corrupt MIDS1 header") from None
     labels = np.frombuffer(raw[pos:pos + n], dtype="<u1").copy()
     pos += n
     expected = n * h * w * 4

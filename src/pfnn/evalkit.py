@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -186,14 +186,8 @@ def build_report(model: str, split: str, labels, predictions, probs, loss: float
             roc[name] = roc_curve(probs[:, c], is_c)
         else:
             roc[name] = None
-    return EvalReport(
-        model=model, split=split, class_names=class_names,
-        precision=stats.precision, recall=stats.recall, f1=stats.f1, support=stats.support,
-        accuracy=stats.accuracy, loss=float(loss), macro_f1=stats.macro_f1,
-        f1_mean=stats.f1_mean, f1_std=stats.f1_std, recall_mean=stats.recall_mean,
-        recall_min=stats.recall_min, recall_std=stats.recall_std,
-        degenerate=stats.degenerate, roc=roc,
-    )
+    return EvalReport(model=model, split=split, class_names=class_names, loss=float(loss),
+                      roc=roc, **asdict(stats))
 
 
 def overfit_deltas(train_report: EvalReport, test_report: EvalReport) -> tuple[float, float, float]:
@@ -214,30 +208,20 @@ def overfit_deltas(train_report: EvalReport, test_report: EvalReport) -> tuple[f
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    out = asdict(report)
-    out["roc"] = {
-        name: (None if curve is None else asdict(curve)) for name, curve in report.roc.items()
-    }
-    return out
+    return asdict(report)
+
+
+def _from_fields(cls, data: dict):
+    """``cls`` from its JSON form: every field read by name, lists back to tuples."""
+    return cls(**{f.name: tuple(data[f.name]) if isinstance(data[f.name], list) else data[f.name]
+                  for f in fields(cls)})
 
 
 def report_from_dict(data: dict) -> EvalReport:
-    roc = {
-        name: (None if curve is None else RocCurve(
-            tuple(curve["fpr"]), tuple(curve["tpr"]), tuple(curve["thresholds"]), curve["auc"],
-        ))
-        for name, curve in data["roc"].items()
-    }
-    return EvalReport(
-        model=data["model"], split=data["split"], class_names=tuple(data["class_names"]),
-        precision=tuple(data["precision"]), recall=tuple(data["recall"]), f1=tuple(data["f1"]),
-        support=tuple(data["support"]), accuracy=data["accuracy"], loss=data["loss"],
-        macro_f1=data["macro_f1"], f1_mean=data["f1_mean"], f1_std=data["f1_std"],
-        recall_mean=data["recall_mean"], recall_min=data["recall_min"],
-        recall_std=data["recall_std"], degenerate=tuple(data["degenerate"]),
-        roc=roc, overfit_acc=data["overfit_acc"], overfit_f1=data["overfit_f1"],
-        overfit_loss=data["overfit_loss"],
-    )
+    report = _from_fields(EvalReport, data)
+    report.roc = {name: None if curve is None else _from_fields(RocCurve, curve)
+                  for name, curve in report.roc.items()}
+    return report
 
 
 def write_report(report: EvalReport, path) -> None:

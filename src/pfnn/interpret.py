@@ -251,15 +251,6 @@ class FeatureLayerChoice:
     tie: bool
 
 
-def _capture_features(model: ModelSpec, images: np.ndarray, name: str, batch: int = 256) -> np.ndarray:
-    chunks = []
-    images = np.asarray(images, dtype=np.float64)
-    for start in range(0, images.shape[0], batch):
-        result = model.forward(Tensor(images[start:start + batch]), training=False)
-        chunks.append(result.captures[name].data)
-    return np.concatenate(chunks)
-
-
 def select_feature_layer(model: ModelSpec, dataset: LabeledImageSet) -> FeatureLayerChoice:
     """Pick the candidate vector layer whose first three principal
     components explain the most cumulative variance (ties keep network
@@ -269,7 +260,7 @@ def select_feature_layer(model: ModelSpec, dataset: LabeledImageSet) -> FeatureL
     best_score = -1.0
     tie = False
     for name in model.feature_candidates:
-        feats = _capture_features(model, dataset.images, name)
+        _, feats = predict(model, dataset.images, feature_layer=name)
         k = min(3, feats.shape[0] - 1, feats.shape[1])
         result = pca(feats, k, layer=name)
         cumulative = np.cumsum(result.ratios)

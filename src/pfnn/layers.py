@@ -10,7 +10,7 @@ fused vector. Both are ablation switches on the model config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -28,10 +28,10 @@ from .autodiff import (
     global_max_pool,
     matmul,
     relu,
-    reshape,
     sigmoid,
     softmax,
 )
+from .checkpoint import CheckpointError
 
 INPUT_CHANNELS = 1
 
@@ -40,23 +40,21 @@ INPUT_CHANNELS = 1
 class GagmOutput:
     """Per-channel spatial mean, spatial max, and their concatenation."""
 
-    v_avg: Tensor   # (C,)
-    u_max: Tensor   # (C,)
-    u_fused: Tensor  # (2C,) = [v_avg ; u_max]
+    v_avg: Tensor   # (N, C)
+    u_max: Tensor   # (N, C)
+    u_fused: Tensor  # (N, 2C) = [v_avg ; u_max]
 
 
-def gagm(feature_map: Tensor) -> GagmOutput:
-    """Fuse global average and global max pooling of one H x W x C map.
+def gagm(feature_maps: Tensor) -> GagmOutput:
+    """Fuse global average and global max pooling of a batch of N x H x W x C maps.
 
     Gradients flow through both branches; the max branch routes to the
     first maximal element of each channel in row-major order.
     """
-    if feature_map.data.ndim != 3:
-        raise ShapeError(f"gagm: expects rank-3 (H,W,C), got {feature_map.shape}")
-    h, w, c = feature_map.shape
-    batched = reshape(feature_map, (1, h, w, c))
-    v_avg = reshape(global_avg_pool(batched), (c,))
-    u_max = reshape(global_max_pool(batched), (c,))
+    if feature_maps.data.ndim != 4:
+        raise ShapeError(f"gagm: expects rank-4 (N,H,W,C), got {feature_maps.shape}")
+    v_avg = global_avg_pool(feature_maps)
+    u_max = global_max_pool(feature_maps)
     return GagmOutput(v_avg, u_max, concat_last([v_avg, u_max]))
 
 
@@ -132,52 +130,6 @@ class ModelConfig:
     enable_sevector: bool = True
     reduction_ratio: int = 16
     seed: int = 0
-
-    def with_overrides(self, **kwargs) -> "ModelConfig":
-        return replace(self, **kwargs)
-
-
-_TRUE = {"true", "on", "yes", "1"}
-_FALSE = {"false", "off", "no", "0"}
-
-
-def parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def config_from_mapping(mapping: Mapping[str, str]) -> ModelConfig:
-    """Build a ModelConfig from string key=value settings (extra keys ignored)."""
-    kwargs = {}
-    if "conv_widths" in mapping:
-        kwargs["conv_widths"] = tuple(int(w) for w in mapping["conv_widths"].split(",") if w.strip())
-    for key in ("kernel", "head_units", "classes", "reduction_ratio", "seed"):
-        if key in mapping:
-            kwargs[key] = int(mapping[key])
-    if "dropout_rate" in mapping:
-        kwargs["dropout_rate"] = float(mapping["dropout_rate"])
-    for key in ("enable_gagm", "enable_sevector"):
-        if key in mapping:
-            kwargs[key] = parse_bool(mapping[key])
-    return ModelConfig(**kwargs)
-
-
-def config_to_mapping(config: ModelConfig) -> dict[str, str]:
-    return {
-        "conv_widths": ",".join(str(w) for w in config.conv_widths),
-        "kernel": str(config.kernel),
-        "head_units": str(config.head_units),
-        "dropout_rate": repr(config.dropout_rate),
-        "classes": str(config.classes),
-        "enable_gagm": "true" if config.enable_gagm else "false",
-        "enable_sevector": "true" if config.enable_sevector else "false",
-        "reduction_ratio": str(config.reduction_ratio),
-        "seed": str(config.seed),
-    }
 
 
 @dataclass
@@ -281,13 +233,13 @@ class ModelSpec:
             t = relu(t)
             captures[f"conv{i}_relu"] = t
 
-        avg = global_avg_pool(t)
         if self.config.enable_gagm:
-            mx = global_max_pool(t)
-            pooled = concat_last([avg, mx])
-            captures["pool_avg"], captures["pool_max"], captures["pool_fused"] = avg, mx, pooled
+            fused = gagm(t)
+            pooled = fused.u_fused
+            captures["pool_avg"], captures["pool_max"] = fused.v_avg, fused.u_max
+            captures["pool_fused"] = pooled
         else:
-            pooled = avg
+            pooled = global_avg_pool(t)
             captures["pool_gap"] = pooled
 
         if self.se_params is not None:
@@ -304,25 +256,34 @@ class ModelSpec:
 
     # -- state management ---------------------------------------------------
 
+    def _bn_stats(self) -> list[tuple[str, BatchNormState, str]]:
+        """(tensor name, state, attribute) of every batchnorm running statistic."""
+        return [(f"{name}/{attr}", state, attr)
+                for name, state in self.bn.items() for attr in ("running_mean", "running_var")]
+
     def state_arrays(self) -> dict[str, np.ndarray]:
         """All trainable parameters plus batchnorm running statistics."""
         out = {name: p.data.copy() for name, p in self.params.items()}
-        for name, state in self.bn.items():
-            out[f"{name}/running_mean"] = state.running_mean.copy()
-            out[f"{name}/running_var"] = state.running_var.copy()
+        out.update((key, getattr(state, attr).copy()) for key, state, attr in self._bn_stats())
         return out
 
     def load_state(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Restore ``state_arrays`` output; the tensor names must match exactly."""
+        stats = self._bn_stats()
+        expected = [*self.params, *(key for key, _, _ in stats)]
+        missing = [name for name in expected if name not in arrays]
+        if missing:
+            raise CheckpointError(f"checkpoint is missing tensor(s) {', '.join(map(repr, missing))}")
+        unexpected = sorted(set(arrays) - set(expected))
+        if unexpected:
+            raise CheckpointError(f"checkpoint has unexpected tensor(s) {', '.join(map(repr, unexpected))}")
         for name, p in self.params.items():
-            if name not in arrays:
-                raise KeyError(f"checkpoint is missing parameter {name!r}")
             value = np.asarray(arrays[name], dtype=np.float64)
             if value.shape != p.shape:
                 raise ShapeError(f"parameter {name!r}: checkpoint shape {value.shape} != model shape {p.shape}")
             p.data = np.ascontiguousarray(value)
-        for name, state in self.bn.items():
-            state.running_mean = np.asarray(arrays[f"{name}/running_mean"], dtype=np.float64).copy()
-            state.running_var = np.asarray(arrays[f"{name}/running_var"], dtype=np.float64).copy()
+        for key, state, attr in stats:
+            setattr(state, attr, np.asarray(arrays[key], dtype=np.float64).copy())
 
     def zero_grads(self) -> None:
         for p in self.params.values():

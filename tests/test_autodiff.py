@@ -33,7 +33,7 @@ from pfnn.autodiff import (
     sub,
     take_per_row,
 )
-from pfnn.checkpoint import load_checkpoint, save_checkpoint
+from pfnn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 
 class TestForward:
@@ -344,3 +344,18 @@ class TestCheckpointFormat:
         path.write_bytes(b"NOPE!")
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    def test_every_truncation_is_a_checkpoint_error_or_shorter(self, tmp_path):
+        tensors = {"w": np.arange(6.0).reshape(2, 3), "scalar": np.float64(2.5)}
+        whole = tmp_path / "whole.pfnn"
+        save_checkpoint(whole, tensors)
+        raw = whole.read_bytes()
+        path = tmp_path / "prefix.pfnn"
+        for end in range(len(raw)):
+            path.write_bytes(raw[:end])
+            try:
+                loaded = load_checkpoint(path)
+            except CheckpointError as exc:
+                assert "prefix.pfnn" in str(exc)
+            else:
+                assert list(loaded) == list(tensors)[:len(loaded)] and len(loaded) < len(tensors)

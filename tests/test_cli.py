@@ -2,9 +2,11 @@
 
 import csv
 import hashlib
+import shutil
 
 import pytest
 
+from pfnn.checkpoint import load_checkpoint, save_checkpoint
 from pfnn.cli import main
 from pfnn.config import experiment_from_mapping, read_kv_file
 from pfnn.datagen import read_dataset
@@ -109,6 +111,15 @@ class TestTrain:
         exp = experiment_from_mapping(snapshot)
         assert not exp.model.enable_gagm
 
+    def test_truncated_dataset_is_one_error_line(self, mini, tmp_path, capsys):
+        data, _ = mini
+        truncated = tmp_path / "short.mids"
+        truncated.write_bytes(data.read_bytes()[:7])
+        capsys.readouterr()
+        assert main(["train", "--data", str(truncated), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "short.mids" in err[0]
+
     def test_unknown_config_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("gagm_strength=2\n")
@@ -152,7 +163,6 @@ class TestEval:
 
     def test_emitted_auc_matches_library_call(self, mini):
         from pfnn.evalkit import roc_curve
-        from pfnn.checkpoint import load_checkpoint
         from pfnn.layers import build_model
         from pfnn.trainer import predict
 
@@ -167,6 +177,18 @@ class TestEval:
         for c, name in enumerate(test_set.class_names):
             expected = roc_curve(probs[:, c], test_set.labels == c)
             assert report.roc[name].auc == expected.auc
+
+    def test_doctored_checkpoint_is_an_error(self, mini, tmp_path, capsys):
+        _, run = mini
+        doctored = tmp_path / "doctored"
+        shutil.copytree(run, doctored)
+        state = load_checkpoint(doctored / "checkpoint.pfnn")
+        del state["bn1/running_mean"]
+        save_checkpoint(doctored / "checkpoint.pfnn", state)
+        capsys.readouterr()
+        assert main(["eval", "--run", str(doctored)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "bn1/running_mean" in err[0]
 
     def test_missing_split_is_an_error(self, mini):
         _, run = mini

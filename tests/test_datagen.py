@@ -200,3 +200,14 @@ class TestMids1Format:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(ValueError, match="payload"):
             read_dataset(path)
+
+    def test_every_truncation_is_a_value_error(self, tmp_path):
+        data = generate(GenSpec(counts=(1, 1, 1), side=8, seed=16))
+        whole = tmp_path / "whole.mids"
+        write_dataset(whole, data)
+        raw = whole.read_bytes()
+        path = tmp_path / "prefix.mids"
+        for end in range(len(raw)):
+            path.write_bytes(raw[:end])
+            with pytest.raises(ValueError, match="prefix.mids"):
+                read_dataset(path)

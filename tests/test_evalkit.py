@@ -12,6 +12,7 @@ from pfnn.evalkit import (
     confusion,
     overfit_deltas,
     parse_report,
+    report_to_dict,
     roc_curve,
     write_report,
     write_scatter_pairs,
@@ -173,6 +174,27 @@ class TestReportFiles:
     def test_json_round_trip_identity(self, tmp_path):
         report = self.build()
         report.overfit_acc, report.overfit_f1, report.overfit_loss = 0.01, 0.02, 0.03
+        path = tmp_path / "report.json"
+        write_report(report, path)
+        assert parse_report(path) == report
+
+    def test_dict_key_order_is_pinned(self):
+        data = report_to_dict(self.build())
+        assert list(data) == [
+            "model", "split", "class_names", "precision", "recall", "f1", "support",
+            "accuracy", "loss", "macro_f1", "f1_mean", "f1_std", "recall_mean",
+            "recall_min", "recall_std", "degenerate", "roc", "overfit_acc",
+            "overfit_f1", "overfit_loss",
+        ]
+        assert list(data["roc"]) == ["normal", "benign", "malignant"]
+        assert list(data["roc"]["normal"]) == ["fpr", "tpr", "thresholds", "auc"]
+
+    def test_json_round_trip_keeps_undefined_curves(self, tmp_path):
+        labels = np.array([0, 0, 1, 1, 0, 1])
+        probs = random_probs(np.random.default_rng(3), 6, 3)
+        report = build_report("demo", "test", labels, probs.argmax(axis=1), probs, 0.5,
+                              ("normal", "benign", "malignant"))
+        assert report.roc["malignant"] is None
         path = tmp_path / "report.json"
         write_report(report, path)
         assert parse_report(path) == report

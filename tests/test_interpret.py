@@ -241,6 +241,8 @@ class _FakeTensor:
 class _FakeResult:
     def __init__(self, captures):
         self.captures = captures
+        # predict() collects probs alongside the capture; any batch-shaped array serves
+        self.probs = next(iter(captures.values()))
 
 
 class _StubModel:

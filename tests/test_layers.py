@@ -6,67 +6,68 @@ import pytest
 from oracles import fd_gradient, rel_err
 
 from pfnn.autodiff import ShapeError, Tensor, backward
+from pfnn.checkpoint import CheckpointError
+from pfnn.config import ExperimentConfig, experiment_from_mapping, experiment_to_mapping
 from pfnn.layers import (
     ModelConfig,
     SeVectorParams,
     build_model,
     compressed_units,
-    config_from_mapping,
-    config_to_mapping,
     gagm,
     sevector,
 )
 from pfnn.losses import total_loss
+from pfnn.trainer import TrainConfig
 
 
 class TestGagm:
     def test_constant_map_mean_equals_max(self):
-        out = gagm(Tensor(np.full((4, 5, 3), 2.5)))
-        np.testing.assert_array_equal(out.v_avg.data, [2.5] * 3)
-        np.testing.assert_array_equal(out.u_max.data, [2.5] * 3)
-        np.testing.assert_array_equal(out.u_fused.data, [2.5] * 6)
+        out = gagm(Tensor(np.full((1, 4, 5, 3), 2.5)))
+        np.testing.assert_array_equal(out.v_avg.data[0], [2.5] * 3)
+        np.testing.assert_array_equal(out.u_max.data[0], [2.5] * 3)
+        np.testing.assert_array_equal(out.u_fused.data[0], [2.5] * 6)
 
     def test_two_by_two_enumeration(self):
-        out = gagm(Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(2, 2, 1)))
-        np.testing.assert_array_equal(out.v_avg.data, [2.5])
-        np.testing.assert_array_equal(out.u_max.data, [4.0])
-        np.testing.assert_array_equal(out.u_fused.data, [2.5, 4.0])
+        out = gagm(Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 2, 2, 1)))
+        np.testing.assert_array_equal(out.v_avg.data[0], [2.5])
+        np.testing.assert_array_equal(out.u_max.data[0], [4.0])
+        np.testing.assert_array_equal(out.u_fused.data[0], [2.5, 4.0])
 
     def test_fused_width_doubles_channels(self):
-        out = gagm(Tensor(np.random.default_rng(0).uniform(0, 1, (6, 6, 3))))
-        assert out.u_fused.shape == (6,)
-        np.testing.assert_array_equal(out.u_fused.data[:3], out.v_avg.data)
-        np.testing.assert_array_equal(out.u_fused.data[3:], out.u_max.data)
+        out = gagm(Tensor(np.random.default_rng(0).uniform(0, 1, (1, 6, 6, 3))))
+        assert out.u_fused.shape == (1, 6)
+        np.testing.assert_array_equal(out.u_fused.data[:, :3], out.v_avg.data)
+        np.testing.assert_array_equal(out.u_fused.data[:, 3:], out.u_max.data)
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError, match="gagm"):
-            gagm(Tensor(np.zeros((2, 3, 4, 1))))
+            gagm(Tensor(np.zeros((3, 4, 1))))
 
     def test_mean_never_exceeds_max(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            out = gagm(Tensor(rng.uniform(-4, 4, (5, 7, 4))))
+            out = gagm(Tensor(rng.uniform(-4, 4, (1, 5, 7, 4))))
             assert np.all(out.v_avg.data <= out.u_max.data + 1e-15)
 
     def test_channel_permutation_equivariance(self):
         rng = np.random.default_rng(2)
-        fm = rng.uniform(-1, 1, (4, 4, 5))
+        fm = rng.uniform(-1, 1, (1, 4, 4, 5))
         perm = rng.permutation(5)
         base = gagm(Tensor(fm))
-        permuted = gagm(Tensor(fm[:, :, perm]))
-        np.testing.assert_array_equal(permuted.v_avg.data, base.v_avg.data[perm])
-        np.testing.assert_array_equal(permuted.u_max.data, base.u_max.data[perm])
+        permuted = gagm(Tensor(fm[..., perm]))
+        np.testing.assert_array_equal(permuted.v_avg.data, base.v_avg.data[:, perm])
+        np.testing.assert_array_equal(permuted.u_max.data, base.u_max.data[:, perm])
 
     def test_spatial_permutation_invariance(self):
         rng = np.random.default_rng(3)
-        fm = rng.uniform(-1, 1, (3, 4, 2))
-        shuffled = fm.reshape(12, 2)[rng.permutation(12)].reshape(3, 4, 2)
+        fm = rng.uniform(-1, 1, (1, 3, 4, 2))
+        shuffled = fm.reshape(12, 2)[rng.permutation(12)].reshape(1, 3, 4, 2)
         base, moved = gagm(Tensor(fm)), gagm(Tensor(shuffled))
         np.testing.assert_allclose(moved.u_fused.data, base.u_fused.data, atol=1e-15)
 
     def test_positive_scaling_is_linear(self):
         rng = np.random.default_rng(4)
-        fm = rng.uniform(-1, 1, (4, 4, 3))
+        fm = rng.uniform(-1, 1, (1, 4, 4, 3))
         lam = 2.75
         base, scaled = gagm(Tensor(fm)), gagm(Tensor(lam * fm))
         np.testing.assert_allclose(scaled.u_fused.data, lam * base.u_fused.data, rtol=1e-13)
@@ -179,8 +180,8 @@ class TestBuildModel:
         out = model.forward(x)
         fm = out.captures["conv1_relu"]
         for i in range(4):
-            single = gagm(Tensor(fm.data[i]))
-            np.testing.assert_allclose(out.captures["pool_fused"].data[i], single.u_fused.data, atol=1e-12)
+            single = gagm(Tensor(fm.data[i:i + 1]))
+            np.testing.assert_allclose(out.captures["pool_fused"].data[i], single.u_fused.data[0], atol=1e-12)
 
     def test_state_round_trip(self):
         model = build_model(ModelConfig(conv_widths=(2, 3), head_units=8, seed=4))
@@ -189,6 +190,20 @@ class TestBuildModel:
         other.load_state(state)
         x = np.random.default_rng(0).uniform(0, 1, (3, 8, 8, 1))
         np.testing.assert_array_equal(model.forward(x).probs.data, other.forward(x).probs.data)
+
+    def test_load_state_rejects_missing_tensor(self):
+        model = build_model(ModelConfig(conv_widths=(2,), head_units=4))
+        state = model.state_arrays()
+        del state["bn1/running_mean"]
+        with pytest.raises(CheckpointError, match="missing.*'bn1/running_mean'"):
+            model.load_state(state)
+
+    def test_load_state_rejects_unexpected_tensor(self):
+        model = build_model(ModelConfig(conv_widths=(2,), head_units=4))
+        state = model.state_arrays()
+        state["conv9/kernel"] = np.zeros(3)
+        with pytest.raises(CheckpointError, match="unexpected.*'conv9/kernel'"):
+            model.load_state(state)
 
     def test_end_to_end_gradients(self):
         rng = np.random.default_rng(10)
@@ -213,10 +228,11 @@ class TestConfigMapping:
         config = ModelConfig(conv_widths=(4, 8), kernel=5, head_units=32, dropout_rate=0.25,
                              classes=3, enable_gagm=False, enable_sevector=True,
                              reduction_ratio=8, seed=3)
-        assert config_from_mapping(config_to_mapping(config)) == config
+        exp = ExperimentConfig(model=config, train=TrainConfig(seed=config.seed))
+        assert experiment_from_mapping(experiment_to_mapping(exp)).model == config
 
     def test_bool_spellings(self):
-        assert config_from_mapping({"enable_gagm": "on"}).enable_gagm
-        assert not config_from_mapping({"enable_sevector": "off"}).enable_sevector
+        assert experiment_from_mapping({"enable_gagm": "on"}).model.enable_gagm
+        assert not experiment_from_mapping({"enable_sevector": "off"}).model.enable_sevector
         with pytest.raises(ValueError, match="boolean"):
-            config_from_mapping({"enable_gagm": "maybe"})
+            experiment_from_mapping({"enable_gagm": "maybe"})
