@@ -6,12 +6,20 @@ sigmoid, softmax, global average/max pooling, last-axis concatenation,
 elementwise arithmetic with broadcasting, dropout, batch normalization,
 and the reductions/indexing the losses are built from.
 
+conv2d is im2col convolution: one GEMM of the (kh, kw, Cin) patch matrix
+with the flattened kernel per pass. batch_norm is a single op with the
+closed-form backward. Sums over leading axes (bias and batchnorm channel
+sums) are BLAS vector-matrix products, deterministic for a fixed BLAS
+thread count like every matmul in the graph.
+
 Graph representation: every op output keeps references to its inputs
 plus a monotonically increasing creation id. Inputs are always created
 before outputs, so creation order is a topological order and
 ``backward`` visits the reachable subgraph exactly once, in reverse
-creation order. A graph and its tensors belong to one thread; distinct
-graphs may run on distinct threads.
+creation order. ``backward`` fills ``.grad`` on leaves and on the
+tensors the caller asks it to retain; intermediates pass their gradient
+on without keeping it. A graph and its tensors belong to one thread;
+distinct graphs may run on distinct threads.
 """
 
 from __future__ import annotations
@@ -34,7 +42,8 @@ class Tensor:
 
     ``requires_grad`` marks leaves the caller wants gradients for; op
     outputs inherit it whenever any input requires grad. ``grad`` is
-    filled (accumulating additively) by :func:`backward`.
+    filled (accumulating additively) by :func:`backward` on leaves and on
+    retained tensors.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_op", "_parents", "_vjp", "_nid")
@@ -101,11 +110,17 @@ def _make(data, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
     return out
 
 
+def _sum_leading(a: np.ndarray, k: int) -> np.ndarray:
+    """Sum over the first ``k`` axes as one BLAS vector-matrix product."""
+    rows = int(np.prod(a.shape[:k]))
+    return (np.ones(rows) @ a.reshape(rows, -1)).reshape(a.shape[k:])
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` over the axes numpy broadcast to reach ``g.shape``."""
     extra = g.ndim - len(shape)
     if extra:
-        g = g.sum(axis=tuple(range(extra)))
+        g = _sum_leading(g, extra)
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
@@ -322,6 +337,12 @@ def global_max_pool(x) -> Tensor:
 # convolution
 
 
+def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(N, H, W, C) padded input -> (N*Hout*Wout, kh*kw*C) patch rows in (kh, kw, C) order."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * xp.shape[3])
+
+
 def conv2d(x, kernel, padding: str = "same") -> Tensor:
     """Stride-1 2-D convolution, channel-last.
 
@@ -341,31 +362,36 @@ def conv2d(x, kernel, padding: str = "same") -> Tensor:
         )
     if padding == "same":
         pt, pl = (kh - 1) // 2, (kw - 1) // 2
-        pb, pr = kh - 1 - pt, kw - 1 - pl
+        pad = ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0))
     elif padding == "valid":
-        pt = pb = pl = pr = 0
+        pt = pl = 0
+        pad = None
     else:
         raise ValueError(f"conv2d: unknown padding {padding!r}")
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if (pt or pb or pl or pr) else x.data
-    hout, wout = xp.shape[1] - kh + 1, xp.shape[2] - kw + 1
+    hout, wout = (h - kh + 1, w - kw + 1) if pad is None else (h, w)
     if hout < 1 or wout < 1:
         raise ShapeError(f"conv2d: kernel {kernel.shape} larger than input {x.shape} with {padding} padding")
 
-    out = np.zeros((n, hout, wout, cout))
-    for di in range(kh):
-        for dj in range(kw):
-            out += xp[:, di:di + hout, dj:dj + wout, :] @ kernel.data[di, dj]
+    def padded():
+        return x.data if pad is None else np.pad(x.data, pad)
 
+    out = (_im2col(padded(), kh, kw) @ kernel.data.reshape(-1, cout)).reshape(n, hout, wout, cout)
+
+    # the patch matrix is kh*kw times the input, so backward rebuilds it
+    # instead of keeping it alive with the graph
     def vjp(g):
-        dk = np.empty_like(kernel.data)
-        dxp = np.zeros_like(xp)
-        for di in range(kh):
-            for dj in range(kw):
-                patch = xp[:, di:di + hout, dj:dj + wout, :]
-                dk[di, dj] = np.tensordot(patch, g, axes=([0, 1, 2], [0, 1, 2]))
-                dxp[:, di:di + hout, dj:dj + wout, :] += g @ kernel.data[di, dj].T
-        dx = dxp[:, pt:pt + h, pl:pl + w, :] if (pt or pb or pl or pr) else dxp
-        return (np.ascontiguousarray(dx), dk)
+        dk = dx = None
+        if kernel.requires_grad:
+            dk = (_im2col(padded(), kh, kw).T @ g.reshape(-1, cout)).reshape(kernel.shape)
+        if x.requires_grad:
+            g2 = g.reshape(-1, cout)
+            dxp = np.zeros((n, hout + kh - 1, wout + kw - 1, cin))
+            for di in range(kh):
+                for dj in range(kw):
+                    tap = g2 @ kernel.data[di, dj].T
+                    dxp[:, di:di + hout, dj:dj + wout, :] += tap.reshape(n, hout, wout, cin)
+            dx = np.ascontiguousarray(dxp[:, pt:pt + h, pl:pl + w, :])
+        return (dx, dk)
 
     return _make(out, "conv2d", (x, kernel), vjp)
 
@@ -410,6 +436,11 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False) ->
 
     Training mode uses batch statistics and folds them into the running
     averages; inference mode uses the running statistics as constants.
+    One graph node with the closed-form backward (Ioffe & Szegedy 2015,
+    section 3): with d = g * gamma,
+    dx = inv_std * (d - mean(d) - x_hat * mean(d * x_hat)) in training
+    and dx = inv_std * d in inference; dgamma = sum(g * x_hat) and
+    dbeta = sum(g) in both.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     c = x.shape[-1]
@@ -417,18 +448,35 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False) ->
         raise ShapeError(
             f"batch_norm: gamma/beta must be ({c},) for input {x.shape}, got {gamma.shape}/{beta.shape}"
         )
-    axes = tuple(range(x.data.ndim - 1))
+    lead = x.data.ndim - 1
+    count = x.size // c
     if training:
-        mu = reduce_mean(x, axes=axes, keepdims=True)
-        centered = sub(x, mu)
-        var = reduce_mean(mul(centered, centered), axes=axes, keepdims=True)
-        inv_std = power(add(var, Tensor(state.eps)), -0.5)
-        x_hat = mul(centered, inv_std)
-        state.update(mu.data.reshape(c), var.data.reshape(c))
+        mu = _sum_leading(x.data, lead) / count
+        x_hat = x.data - mu
+        var = _sum_leading(x_hat * x_hat, lead) / count
+        state.update(mu, var)
     else:
-        inv = 1.0 / np.sqrt(state.running_var + state.eps)
-        x_hat = mul(sub(x, Tensor(state.running_mean)), Tensor(inv))
-    return add(mul(x_hat, gamma), beta)
+        x_hat = x.data - state.running_mean
+        var = state.running_var
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    x_hat *= inv_std
+    out = x_hat * gamma.data
+    out += beta.data
+
+    def vjp(g):
+        dbeta = _sum_leading(g, lead)
+        dgamma = _sum_leading(g * x_hat, lead)
+        scale = gamma.data * inv_std
+        if training:
+            dx = x_hat * (dgamma / count)
+            np.subtract(g, dx, out=dx)
+            dx -= dbeta / count
+            dx *= scale
+        else:
+            dx = g * scale
+        return (dx, dgamma, dbeta)
+
+    return _make(out, "batch_norm", (x, gamma, beta), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -488,24 +536,26 @@ def _reverse_order(root: Tensor) -> list[Tensor]:
     return nodes
 
 
-def backward(loss: Tensor) -> None:
-    """Fill ``grad`` on every requires_grad tensor the scalar depends on.
+def backward(loss: Tensor, retain: Sequence[Tensor] = ()) -> None:
+    """Fill ``grad`` on every requires_grad leaf the scalar depends on,
+    and on each tensor in ``retain``.
 
-    Gradients accumulate additively, both across fan-out within the
-    graph and across repeated backward calls (use ``zero_grad`` between
-    steps).
+    Intermediates pass their gradient on without keeping it. Gradients
+    accumulate additively, both across fan-out within the graph and
+    across repeated backward calls (use ``zero_grad`` between steps).
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be a scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return
+    kept = {id(t) for t in retain}
     pending: dict[int, np.ndarray] = {id(loss): np.ones(())}
     for node in _reverse_order(loss):
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+        if node._vjp is None or id(node) in kept:
+            node.grad = np.array(g) if node.grad is None else node.grad + g
         if node._vjp is None:
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):

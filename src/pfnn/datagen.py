@@ -266,4 +266,7 @@ def read_dataset(path) -> LabeledImageSet:
     if len(raw) - pos != expected:
         raise ValueError(f"{path}: pixel payload is {len(raw) - pos} bytes, expected {expected}")
     pixels = np.frombuffer(raw[pos:], dtype="<f4").reshape(n, h, w, 1).copy()
+    bad = int(np.count_nonzero(~np.isfinite(pixels)))
+    if bad:
+        raise ValueError(f"{path}: {bad} non-finite pixel value(s) (NaN or inf)")
     return LabeledImageSet(pixels, labels, tuple(names), "loaded")

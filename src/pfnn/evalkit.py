@@ -211,15 +211,23 @@ def report_to_dict(report: EvalReport) -> dict:
     return asdict(report)
 
 
-def _from_fields(cls, data: dict):
+def _from_fields(cls, data, where: str):
     """``cls`` from its JSON form: every field read by name, lists back to tuples."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
+    missing = [f.name for f in fields(cls) if f.name not in data]
+    if missing:
+        raise ValueError(f"{where} is missing field(s) {', '.join(map(repr, missing))}")
     return cls(**{f.name: tuple(data[f.name]) if isinstance(data[f.name], list) else data[f.name]
                   for f in fields(cls)})
 
 
 def report_from_dict(data: dict) -> EvalReport:
-    report = _from_fields(EvalReport, data)
-    report.roc = {name: None if curve is None else _from_fields(RocCurve, curve)
+    """Decode ``report_to_dict`` output; a non-object or a missing field is a ``ValueError``."""
+    report = _from_fields(EvalReport, data, "report")
+    if not isinstance(report.roc, dict):
+        raise ValueError(f"report field 'roc' must be a JSON object, got {type(report.roc).__name__}")
+    report.roc = {name: None if curve is None else _from_fields(RocCurve, curve, f"roc curve {name!r}")
                   for name, curve in report.roc.items()}
     return report
 
@@ -229,7 +237,11 @@ def write_report(report: EvalReport, path) -> None:
 
 
 def parse_report(path) -> EvalReport:
-    return report_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return report_from_dict(json.loads(text))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _fmt(value) -> str:

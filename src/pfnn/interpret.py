@@ -54,7 +54,7 @@ def grad_cam(model: ModelSpec, image: np.ndarray, target_class: int) -> CamMap:
     activation = result.captures[model.cam_layer]
     target_logit = reduce_sum(take_per_row(result.logits, [target_class]))
     model.zero_grads()
-    backward(target_logit)
+    backward(target_logit, retain=(activation,))
     grads = activation.grad[0]           # (h, w, K)
     alphas = grads.mean(axis=(0, 1))     # (K,)
     raw = np.maximum(activation.data[0] @ alphas, 0.0)

@@ -232,7 +232,8 @@ def predict(
     """Inference-mode class probabilities and feature vectors.
 
     Features come from ``feature_layer`` (default: the model's designated
-    penultimate layer).
+    penultimate layer). Each batch's graph is released before the next
+    batch's forward runs, so at most one batch graph is alive.
     """
     source = feature_layer or model.feature_layer
     probs, feats = [], []
@@ -241,6 +242,7 @@ def predict(
         result = model.forward(Tensor(images[start:start + batch_size]), training=False)
         probs.append(result.probs.data)
         feats.append(result.captures[source].data)
+        del result
     return np.concatenate(probs), np.concatenate(feats)
 
 

@@ -36,6 +36,17 @@ from pfnn.autodiff import (
 from pfnn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 
+# (input, kernel) shapes: odd, 1x1, even (asymmetric `same` padding) and Cin = 1 kernels
+CONV_SHAPES = [
+    ((2, 6, 5, 3), (3, 3, 3, 4)),
+    ((2, 5, 4, 2), (1, 1, 2, 3)),
+    ((2, 5, 4, 2), (2, 2, 2, 3)),
+    ((1, 6, 5, 2), (4, 4, 2, 2)),
+    ((2, 6, 5, 1), (3, 3, 1, 4)),
+]
+CONV_CASES = [(xs, ks, padding) for xs, ks in CONV_SHAPES for padding in ("same", "valid")]
+
+
 class TestForward:
     def test_relu_definition(self):
         out = relu(Tensor([-1.0, 0.0, 2.0]))
@@ -53,9 +64,9 @@ class TestForward:
 
     def test_conv2d_matches_direct_oracle(self):
         rng = np.random.default_rng(1)
-        for padding in ("same", "valid"):
-            x = rng.uniform(-2, 2, (2, 6, 5, 3))
-            k = rng.uniform(-1, 1, (3, 3, 3, 4))
+        for x_shape, k_shape, padding in CONV_CASES:
+            x = rng.uniform(-2, 2, x_shape)
+            k = rng.uniform(-1, 1, k_shape)
             out = conv2d(Tensor(x), Tensor(k), padding)
             np.testing.assert_allclose(out.data, conv2d_direct(x, k, padding), atol=1e-12)
 
@@ -111,6 +122,34 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError, match="scalar"):
             backward(add(x, x))
+
+    def test_intermediates_keep_no_grad(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        squared = mul(x, x)
+        backward(reduce_sum(relu(squared)))
+        assert squared.grad is None
+        np.testing.assert_array_equal(x.grad, [2.0, -4.0, 6.0])
+
+    def test_retained_intermediate_gets_its_grad(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
+        weights = rng.uniform(-1, 1, (3, 2))
+        hidden = matmul(x, w)
+        out = relu(hidden)
+        backward(reduce_sum(mul(out, Tensor(weights))), retain=(hidden,))
+        np.testing.assert_array_equal(hidden.grad, weights * (hidden.data > 0))
+        assert out.grad is None
+        np.testing.assert_allclose(w.grad, x.data.T @ hidden.grad, atol=1e-15)
+
+    def test_fanout_through_intermediates_accumulates_on_leaf(self):
+        a = Tensor([3.0, -1.0], requires_grad=True)
+        square = mul(a, a)
+        backward(reduce_sum(add(mul(square, a), add(square, a))))  # a^3 + a^2 + a
+        np.testing.assert_array_equal(a.grad, 3 * a.data ** 2 + 2 * a.data + 1)
+        backward(reduce_sum(a))
+        np.testing.assert_array_equal(a.grad, 3 * a.data ** 2 + 2 * a.data + 2)
+        assert square.grad is None
 
     def test_max_pool_ties_route_to_first_row_major(self):
         x = Tensor(np.ones((1, 2, 2, 1)), requires_grad=True)
@@ -186,6 +225,34 @@ class TestPerOpGradients:
         backward(loss)
         for t in (x, k):
             assert rel_err(t.grad, fd_gradient(forward, t.data)) < 1e-4
+
+    @pytest.mark.parametrize("x_shape,k_shape,padding", CONV_CASES,
+                             ids=[f"{ks[0]}x{ks[1]}-cin{ks[2]}-{p}" for _, ks, p in CONV_CASES])
+    def test_conv2d_gradients(self, x_shape, k_shape, padding):
+        rng = np.random.default_rng(sum(k_shape))
+        x = Tensor(rng.uniform(-1, 1, x_shape), requires_grad=True)
+        k = Tensor(rng.uniform(-1, 1, k_shape), requires_grad=True)
+        weights = Tensor(rng.uniform(-1, 1, conv2d(x, k, padding).shape))
+
+        def forward():
+            return reduce_sum(mul(conv2d(x, k, padding), weights))
+
+        backward(forward())
+        for t in (x, k):
+            assert rel_err(t.grad, fd_gradient(forward, t.data)) < 1e-4
+
+    def test_conv2d_constant_input_fills_only_kernel_grad(self):
+        rng = np.random.default_rng(43)
+        x = Tensor(rng.uniform(-1, 1, (2, 5, 5, 1)))
+        k = Tensor(rng.uniform(-1, 1, (3, 3, 1, 2)), requires_grad=True)
+        weights = Tensor(rng.uniform(-1, 1, (2, 5, 5, 2)))
+
+        def forward():
+            return reduce_sum(mul(conv2d(x, k, "same"), weights))
+
+        backward(forward())
+        assert x.grad is None
+        assert rel_err(k.grad, fd_gradient(forward, k.data)) < 1e-4
 
     def test_gather_and_take_gradients(self):
         rng = np.random.default_rng(7)
@@ -271,6 +338,39 @@ class TestBatchNorm:
         backward(loss)
         for t in (x, gamma, beta):
             assert rel_err(t.grad, fd_gradient(forward, t.data)) < 1e-4
+
+    @pytest.mark.parametrize("training", [True, False], ids=["training", "inference"])
+    def test_rank4_gradient(self, training):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.uniform(-2, 2, (3, 4, 4, 2)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 2), requires_grad=True)
+        beta = Tensor(rng.uniform(-0.5, 0.5, 2), requires_grad=True)
+        weights = rng.uniform(-1, 1, (3, 4, 4, 2))
+
+        def forward():
+            state = BatchNormState(2)
+            state.running_mean, state.running_var = np.array([0.3, -0.2]), np.array([1.7, 0.6])
+            out = batch_norm(x, gamma, beta, state, training=training)
+            return reduce_sum(mul(out, Tensor(weights)))
+
+        backward(forward())
+        for t in (x, gamma, beta):
+            assert rel_err(t.grad, fd_gradient(forward, t.data)) < 1e-4
+
+    @pytest.mark.parametrize("training", [True, False], ids=["training", "inference"])
+    def test_output_matches_composite_formula(self, training):
+        rng = np.random.default_rng(15)
+        x = rng.uniform(-3, 3, (4, 5, 5, 3))
+        gamma, beta = rng.uniform(0.5, 1.5, 3), rng.uniform(-0.5, 0.5, 3)
+        state = BatchNormState(3)
+        state.running_mean, state.running_var = rng.uniform(-1, 1, 3), rng.uniform(0.5, 2, 3)
+        if training:
+            mean, var = x.mean(axis=(0, 1, 2)), x.var(axis=(0, 1, 2))
+        else:
+            mean, var = state.running_mean, state.running_var
+        expected = (x - mean) / np.sqrt(var + state.eps) * gamma + beta
+        out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state, training=training)
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
     def test_inference_uses_running_stats(self):
         state = BatchNormState(2)

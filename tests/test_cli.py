@@ -4,12 +4,13 @@ import csv
 import hashlib
 import shutil
 
+import numpy as np
 import pytest
 
 from pfnn.checkpoint import load_checkpoint, save_checkpoint
 from pfnn.cli import main
 from pfnn.config import experiment_from_mapping, read_kv_file
-from pfnn.datagen import read_dataset
+from pfnn.datagen import read_dataset, write_dataset
 from pfnn.evalkit import parse_report
 
 
@@ -119,6 +120,17 @@ class TestTrain:
         assert main(["train", "--data", str(truncated), "--out", str(tmp_path / "r")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "short.mids" in err[0]
+
+    def test_non_finite_pixels_are_one_error_line(self, mini, tmp_path, capsys):
+        data, _ = mini
+        dataset = read_dataset(data)
+        dataset.images[0, 0, 0, 0] = np.nan
+        corrupt = tmp_path / "nan.mids"
+        write_dataset(corrupt, dataset)
+        capsys.readouterr()
+        assert main(["train", "--data", str(corrupt), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "nan.mids" in err[0]
 
     def test_unknown_config_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -248,3 +260,13 @@ class TestReportCommand:
         fresh = tmp_path / "fresh"
         main(["train", "--data", str(data), "--out", str(fresh), "--seed", "9", *TRAIN_ARGS])
         assert main(["report", "--compare", str(fresh), "--out", str(tmp_path / "c")]) == 1
+
+    @pytest.mark.parametrize("doc", ['{"model": "x"}', "[1, 2]"], ids=["missing-field", "list"])
+    def test_malformed_report_is_one_error_line(self, tmp_path, capsys, doc):
+        run = tmp_path / "broken"
+        (run / "eval").mkdir(parents=True)
+        (run / "eval" / "report_test.json").write_text(doc)
+        capsys.readouterr()
+        assert main(["report", "--compare", str(run), "--out", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "report_test.json" in err[0]

@@ -211,3 +211,13 @@ class TestMids1Format:
             path.write_bytes(raw[:end])
             with pytest.raises(ValueError, match="prefix.mids"):
                 read_dataset(path)
+
+    def test_non_finite_pixels_rejected(self, tmp_path):
+        data = generate(GenSpec(counts=(2, 2, 2), side=8, seed=17))
+        path = tmp_path / "nan.mids"
+        for value in (np.nan, np.inf):
+            images = data.images.copy()
+            images[3, 4, 5, 0] = value
+            write_dataset(path, LabeledImageSet(images, data.labels))
+            with pytest.raises(ValueError, match="nan.mids.*non-finite"):
+                read_dataset(path)

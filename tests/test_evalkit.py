@@ -1,5 +1,7 @@
 """Metric battery against brute-force counting and all-pairs AUC oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,25 @@ class TestReportFiles:
         path = tmp_path / "report.json"
         write_report(report, path)
         assert parse_report(path) == report
+
+    @pytest.mark.parametrize("doc,fragment", [
+        ({"model": "x"}, "missing field(s) 'split'"),
+        ([1, 2], "must be a JSON object, got list"),
+    ], ids=["missing-field", "top-level-list"])
+    def test_malformed_report_is_a_value_error(self, tmp_path, doc, fragment):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="bad.json") as caught:
+            parse_report(path)
+        assert fragment in str(caught.value)
+
+    def test_roc_curve_missing_field_is_a_value_error(self, tmp_path):
+        data = report_to_dict(self.build())
+        del data["roc"]["benign"]["auc"]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="roc curve 'benign' is missing field.*'auc'"):
+            parse_report(path)
 
     def test_comparison_tables_have_one_row_per_model(self, tmp_path):
         reports = [self.build(seed=1, model="one"), self.build(seed=2, model="two")]

@@ -1,6 +1,7 @@
 """Splitting, Adam, the callback schedules, and the training loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,3 +272,19 @@ class TestFit:
         assert default.history[0].train_loss != fused.history[0].train_loss
         with pytest.raises(ValueError, match="feature source"):
             fit(self.small_model(seed=4), data, cfg, feature_source="nonexistent")
+
+
+class TestPredict:
+    def test_peak_memory_holds_one_batch_graph(self):
+        model = build_model(ModelConfig(conv_widths=(4, 8), head_units=16, seed=0))
+        images = np.random.default_rng(0).uniform(0, 1, (4 * 256, 16, 16, 1))
+
+        def traced_peak(count):
+            tracemalloc.start()
+            try:
+                predict(model, images[:count], batch_size=256)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(4 * 256) < 1.5 * traced_peak(256)
