@@ -170,16 +170,6 @@ def mul(a, b) -> Tensor:
     )
 
 
-def power(a, exponent: float) -> Tensor:
-    """Elementwise power with a constant exponent (caller owns the domain)."""
-    a = _as_tensor(a)
-    p = float(exponent)
-    return _make(
-        a.data ** p, "power", (a,),
-        lambda g: (g * p * a.data ** (p - 1.0),),
-    )
-
-
 def log(a) -> Tensor:
     a = _as_tensor(a)
     if np.any(a.data <= 0):

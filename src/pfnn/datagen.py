@@ -13,9 +13,7 @@ generation quantizes once and round-trips are bit-exact).
 
 from __future__ import annotations
 
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,12 +82,10 @@ def _render_image(label: int, spec: GenSpec, rng: np.random.Generator) -> np.nda
     return np.clip(img, 0.0, 1.0).astype(np.float32)[..., None]
 
 
-def generate(spec: GenSpec, threads: int | None = None) -> LabeledImageSet:
+def generate(spec: GenSpec) -> LabeledImageSet:
     """Render the dataset described by ``spec``; deterministic per seed.
 
-    Each image draws from its own seeded stream, so the result is
-    identical whatever the worker-thread count (``threads`` defaults to
-    the PFNN_THREADS environment variable, else 1).
+    Image i draws from the i-th stream spawned from ``spec.seed``.
     """
     if spec.side < 8:
         raise ValueError(f"side length must be >= 8, got {spec.side}")
@@ -100,18 +96,8 @@ def generate(spec: GenSpec, threads: int | None = None) -> LabeledImageSet:
         raise ValueError("at least one class must be non-empty")
     labels = np.repeat(np.arange(len(spec.counts), dtype=np.uint8), spec.counts)
     streams = np.random.SeedSequence(spec.seed).spawn(total)
-    if threads is None:
-        threads = int(os.environ.get("PFNN_THREADS", "1") or 1)
-    threads = max(1, threads)
-
-    def render(i: int) -> np.ndarray:
-        return _render_image(int(labels[i]), spec, np.random.default_rng(streams[i]))
-
-    if threads == 1:
-        images = [render(i) for i in range(total)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            images = list(pool.map(render, range(total)))
+    images = [_render_image(int(label), spec, np.random.default_rng(stream))
+              for label, stream in zip(labels, streams)]
     return LabeledImageSet(np.stack(images), labels, CLASS_NAMES, "generated")
 
 
@@ -269,4 +255,7 @@ def read_dataset(path) -> LabeledImageSet:
     bad = int(np.count_nonzero(~np.isfinite(pixels)))
     if bad:
         raise ValueError(f"{path}: {bad} non-finite pixel value(s) (NaN or inf)")
+    bad = int(np.count_nonzero((pixels < 0.0) | (pixels > 1.0)))
+    if bad:
+        raise ValueError(f"{path}: {bad} pixel value(s) outside [0, 1]")
     return LabeledImageSet(pixels, labels, tuple(names), "loaded")

@@ -145,11 +145,11 @@ class ForwardResult:
 
 
 class ModelSpec:
-    """A built model: ordered layer descriptors plus named parameters.
+    """A built model: its config, named parameters and batchnorm state.
 
-    The architecture (layer list, shapes, designated cam/feature layers)
-    is fixed at construction; parameter values and batchnorm running
-    statistics are the mutable training state.
+    The architecture (shapes, designated cam/feature layers) is fixed at
+    construction; parameter values and batchnorm running statistics are
+    the mutable training state.
     """
 
     def __init__(self, config: ModelConfig):
@@ -169,7 +169,6 @@ class ModelSpec:
         self.bn: dict[str, BatchNormState] = {}
         rng = np.random.default_rng(config.seed)
 
-        layers: list[tuple[str, str, dict]] = []
         in_ch = INPUT_CHANNELS
         k = config.kernel
         for i, width in enumerate(config.conv_widths, 1):
@@ -180,13 +179,9 @@ class ModelSpec:
             self.params[f"bn{i}/gamma"] = Tensor(np.ones(width), requires_grad=True)
             self.params[f"bn{i}/beta"] = Tensor(np.zeros(width), requires_grad=True)
             self.bn[f"bn{i}"] = BatchNormState(width)
-            layers.append(("conv", f"conv{i}", {"width": width, "kernel": k, "padding": "same"}))
-            layers.append(("batchnorm", f"bn{i}", {"width": width}))
-            layers.append(("relu", f"conv{i}_relu", {}))
             in_ch = width
 
         pooled_width = in_ch * 2 if config.enable_gagm else in_ch
-        layers.append(("gagm" if config.enable_gagm else "gap", "pool", {"width": pooled_width}))
 
         self.se_params: SeVectorParams | None = None
         if config.enable_sevector:
@@ -194,24 +189,18 @@ class ModelSpec:
             self.params["se/w1"], self.params["se/b1"] = se.w1, se.b1
             self.params["se/w2"], self.params["se/b2"] = se.w2, se.b2
             self.se_params = se
-            layers.append(("sevector", "attended", {"width": pooled_width}))
 
         self.params["head/weight"] = Tensor(
             _he_uniform(rng, (pooled_width, config.head_units), fan_in=pooled_width), requires_grad=True
         )
         self.params["head/bias"] = Tensor(np.zeros(config.head_units), requires_grad=True)
-        layers.append(("dense", "head_features", {"units": config.head_units, "activation": "relu"}))
-        layers.append(("dropout", "head_dropout", {"rate": config.dropout_rate}))
 
         self.params["out/weight"] = Tensor(
             _he_uniform(rng, (config.head_units, config.classes), fan_in=config.head_units),
             requires_grad=True,
         )
         self.params["out/bias"] = Tensor(np.zeros(config.classes), requires_grad=True)
-        layers.append(("dense", "logits", {"units": config.classes, "activation": None}))
-        layers.append(("softmax", "probs", {"classes": config.classes}))
 
-        self.layers = tuple(layers)
         self.cam_layer = f"conv{len(config.conv_widths)}_relu"
         self.feature_layer = "head_features"
         candidates = ["pool_fused" if config.enable_gagm else "pool_gap"]

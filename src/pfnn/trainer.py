@@ -257,22 +257,16 @@ def _eval_split(model, images, labels, lambda_fs: float, source: str) -> tuple[f
 # the training loop
 
 
-def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig,
-        feature_source: str | None = None) -> TrainRun:
+def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRun:
     """Train to convergence or max_epochs; restores the best weights.
 
     The validation loss is the same objective as training (CE plus the
-    weighted feature-smoothing term) computed on the whole validation
-    split at once. ``feature_source`` picks the layer the smoothing term
-    reads (default: the model's penultimate features).
+    weighted feature-smoothing term on the model's penultimate features)
+    computed on the whole validation split at once.
     """
     if len(data) == 0:
         raise ValueError("fit: dataset is empty")
-    source = feature_source or model.feature_layer
-    if source not in model.feature_candidates:
-        raise ValueError(
-            f"feature source {source!r} is not one of {model.feature_candidates}"
-        )
+    source = model.feature_layer
     train_set, val_set = stratified_split(data, config.val_fraction, config.seed)
     if len(val_set) == 0:
         raise ValueError("fit: validation split is empty; increase val_fraction")
@@ -294,7 +288,7 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig,
     stopped_early = False
     n = x_train.shape[0]
 
-    def partial() -> TrainRun:
+    def run_so_far() -> TrainRun:
         return TrainRun(history, best_epoch, best_state, stopped_early, train_set, val_set)
 
     try:
@@ -331,11 +325,11 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig,
                 stopped_early = True
                 break
     except TrainingDiverged as exc:
-        exc.run = partial()
+        exc.run = run_so_far()
         raise
 
     model.load_state(best_state)
-    return TrainRun(history, best_epoch, best_state, stopped_early, train_set, val_set)
+    return run_so_far()
 
 
 # ---------------------------------------------------------------------------

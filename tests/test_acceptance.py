@@ -29,7 +29,6 @@ from pfnn.autodiff import (
     log,
     matmul,
     mul,
-    power,
     reduce_mean,
     reduce_sum,
     relu,
@@ -90,7 +89,6 @@ def _op_builders():
     simple("relu", lambda t, a: relu(t))
     simple("sigmoid", lambda t, a: sigmoid(t))
     simple("softmax", lambda t, a: softmax(t))
-    simple("power", lambda t, a: power(add(mul(t, t), Tensor(0.5)), 1.7))
     simple("log", lambda t, a: log(add(mul(t, t), Tensor(0.3))))
     simple("clamp", lambda t, a: clamp(t, -0.9, 0.9))
     simple("reduce_sum", lambda t, a: reduce_sum(t, axes=1, keepdims=True))

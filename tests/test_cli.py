@@ -132,6 +132,19 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "nan.mids" in err[0]
 
+    def test_out_of_range_pixels_are_one_error_line(self, mini, tmp_path, capsys):
+        data, _ = mini
+        dataset = read_dataset(data)
+        dataset.images[0, 0, 0, 0] = 1.5
+        dataset.images[1, 0, 0, 0] = -0.25
+        corrupt = tmp_path / "range.mids"
+        write_dataset(corrupt, dataset)
+        capsys.readouterr()
+        assert main(["train", "--data", str(corrupt), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "range.mids" in err[0] and "2 pixel" in err[0]
+
     def test_unknown_config_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("gagm_strength=2\n")

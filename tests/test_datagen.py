@@ -30,18 +30,6 @@ class TestGenerate:
         b = generate(GenSpec(counts=(3, 4, 5), side=16, seed=42))
         assert a.images.tobytes() == b.images.tobytes()
 
-    def test_thread_count_does_not_change_output(self):
-        spec = GenSpec(counts=(4, 4, 4), side=12, seed=9)
-        serial = generate(spec, threads=1)
-        threaded = generate(spec, threads=4)
-        assert serial.images.tobytes() == threaded.images.tobytes()
-
-    def test_worker_count_honors_environment(self, monkeypatch):
-        spec = GenSpec(counts=(3, 3, 3), side=10, seed=2)
-        baseline = generate(spec, threads=1)
-        monkeypatch.setenv("PFNN_THREADS", "3")
-        assert generate(spec).images.tobytes() == baseline.images.tobytes()
-
     def test_pixels_in_unit_interval(self):
         data = generate(GenSpec(counts=(20, 20, 20), side=16, seed=3, noise_level=0.3))
         assert data.images.min() >= 0.0
@@ -221,3 +209,17 @@ class TestMids1Format:
             write_dataset(path, LabeledImageSet(images, data.labels))
             with pytest.raises(ValueError, match="nan.mids.*non-finite"):
                 read_dataset(path)
+
+    def test_out_of_range_pixels_rejected(self, tmp_path):
+        data = generate(GenSpec(counts=(2, 2, 2), side=8, seed=17))
+        path = tmp_path / "range.mids"
+        for values in ([1.0 + 1e-6], [-1e-6], [2.0, -3.0, 1.5]):
+            images = data.images.copy()
+            images.reshape(-1)[:len(values)] = values
+            write_dataset(path, LabeledImageSet(images, data.labels))
+            with pytest.raises(ValueError, match=f"range.mids: {len(values)} pixel.*outside"):
+                read_dataset(path)
+        images = data.images.copy()
+        images[0, 0, 0, 0], images[0, 0, 1, 0] = 0.0, 1.0
+        write_dataset(path, LabeledImageSet(images, data.labels))
+        assert read_dataset(path).images.tobytes() == images.tobytes()

@@ -145,8 +145,8 @@ class TestCamGallery:
 class TestJacobiPca:
     def test_jacobi_matches_eigh_on_symmetric_matrices(self):
         rng = np.random.default_rng(50)
-        for _ in range(15):
-            d = int(rng.integers(1, 40))
+        widths = [int(d) for d in rng.integers(1, 40, 15)] + [32, 256]
+        for d in widths:
             half = rng.normal(0, 1, (d, d))
             matrix = (half + half.T) / 2
             eigvals, vecs = jacobi_eigh(matrix)
@@ -156,6 +156,17 @@ class TestJacobiPca:
             np.testing.assert_allclose(vecs.T @ vecs, np.eye(d), atol=1e-10)
             np.testing.assert_allclose(vecs @ np.diag(eigvals) @ vecs.T, matrix,
                                        atol=1e-9 * scale)
+
+    def test_jacobi_degenerate_and_invalid_inputs(self):
+        eigvals, vecs = jacobi_eigh(np.array([[2.5]]))
+        np.testing.assert_array_equal(eigvals, [2.5])
+        np.testing.assert_array_equal(np.abs(vecs), [[1.0]])
+        eigvals, vecs = jacobi_eigh(np.zeros((4, 4)))
+        np.testing.assert_array_equal(eigvals, np.zeros(4))
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(4), atol=1e-12)
+        for bad in (np.zeros((3, 4)), np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="square"):
+                jacobi_eigh(bad)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_ratios_match_eigh_oracle(self, seed):

@@ -263,16 +263,6 @@ class TestFit:
         assert excinfo.value.run is not None
         assert len(excinfo.value.run.history) < 5
 
-    def test_smoothing_feature_source_is_selectable(self):
-        data = toy_set((6, 6, 6), seed=12)
-        cfg = TrainConfig(max_epochs=1, batch_size=8, seed=4, val_fraction=0.3)
-        model = self.small_model(seed=4)
-        default = fit(model, data, cfg)
-        fused = fit(self.small_model(seed=4), data, cfg, feature_source="pool_fused")
-        assert default.history[0].train_loss != fused.history[0].train_loss
-        with pytest.raises(ValueError, match="feature source"):
-            fit(self.small_model(seed=4), data, cfg, feature_source="nonexistent")
-
 
 class TestPredict:
     def test_peak_memory_holds_one_batch_graph(self):
