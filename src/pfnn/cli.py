@@ -206,12 +206,13 @@ def _load_run(run_dir: Path):
 
 
 def _load_split(run_dir: Path, split: str, override: str | None) -> LabeledImageSet:
-    if override:
-        return read_dataset(override)
-    path = run_dir / f"{split}.mids"
-    if not path.exists():
+    path = Path(override) if override else run_dir / f"{split}.mids"
+    if not override and not path.exists():
         raise ValueError(f"no {path.name} in {run_dir}; pass --data FILE or train with that split")
-    return read_dataset(path)
+    dataset = read_dataset(path)
+    if len(dataset) == 0:
+        raise ValueError(f"{path}: dataset holds no images")
+    return dataset
 
 
 def cmd_eval(args) -> int:

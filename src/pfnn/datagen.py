@@ -258,4 +258,7 @@ def read_dataset(path) -> LabeledImageSet:
     bad = int(np.count_nonzero((pixels < 0.0) | (pixels > 1.0)))
     if bad:
         raise ValueError(f"{path}: {bad} pixel value(s) outside [0, 1]")
-    return LabeledImageSet(pixels, labels, tuple(names), "loaded")
+    try:
+        return LabeledImageSet(pixels, labels, tuple(names), "loaded")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

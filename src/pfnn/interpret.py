@@ -18,7 +18,7 @@ from .autodiff import Tensor, backward, reduce_sum, take_per_row
 from .datagen import LabeledImageSet
 from .imaging import bilinear_resize, heat_colormap, to_uint8, write_ppm
 from .layers import ModelSpec
-from .trainer import predict
+from .trainer import predict, predict_layers
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +217,13 @@ class FeatureLayerChoice:
 def select_feature_layer(model: ModelSpec, dataset: LabeledImageSet) -> FeatureLayerChoice:
     """Pick the candidate vector layer whose first three principal
     components explain the most cumulative variance (ties keep network
-    order)."""
+    order). One inference pass captures every candidate."""
+    _, captured = predict_layers(model, dataset.images, model.feature_candidates)
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     best_name = None
     best_score = -1.0
     tie = False
-    for name in model.feature_candidates:
-        _, feats = predict(model, dataset.images, feature_layer=name)
+    for name, feats in captured.items():
         k = min(3, feats.shape[0] - 1, feats.shape[1])
         result = pca(feats, k, layer=name)
         cumulative = np.cumsum(result.ratios)

@@ -10,8 +10,9 @@ import pytest
 from pfnn.checkpoint import load_checkpoint, save_checkpoint
 from pfnn.cli import main
 from pfnn.config import experiment_from_mapping, read_kv_file
-from pfnn.datagen import read_dataset, write_dataset
+from pfnn.datagen import LabeledImageSet, read_dataset, write_dataset
 from pfnn.evalkit import parse_report
+from pfnn.layers import ModelSpec
 
 
 def sha256(path):
@@ -251,6 +252,52 @@ class TestPcaCommand:
     def test_unknown_layer_rejected(self, mini):
         _, run = mini
         assert main(["pca", "--run", str(run), "--layer", "not_a_layer"]) == 1
+
+    def test_auto_layer_takes_at_most_two_passes(self, mini, tmp_path, monkeypatch):
+        _, run = mini
+        images_forwarded = []
+        forward = ModelSpec.forward
+
+        def counted(self, x, *args, **kwargs):
+            images_forwarded.append(x.shape[0])
+            return forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(ModelSpec, "forward", counted)
+        assert main(["pca", "--run", str(run), "--layer", "auto", "--out", str(tmp_path)]) == 0
+        assert sum(images_forwarded) == 2 * len(read_dataset(run / "test.mids"))
+
+
+class TestEmptySplit:
+    @pytest.fixture
+    def empty(self, mini, tmp_path):
+        data, _ = mini
+        names = read_dataset(data).class_names
+        path = tmp_path / "empty.mids"
+        write_dataset(path, LabeledImageSet(np.zeros((0, 12, 12, 1)), np.zeros(0), names))
+        return path
+
+    @pytest.mark.parametrize("command", ["eval", "pca", "gradcam"])
+    def test_is_one_error_line_naming_the_file(self, mini, empty, tmp_path, capsys, command):
+        _, run = mini
+        split = ["--split", "data"] if command == "eval" else []
+        capsys.readouterr()
+        assert main([command, "--run", str(run), *split, "--data", str(empty),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "empty.mids" in err[0] and "no images" in err[0]
+
+    def test_label_out_of_range_names_the_file(self, mini, tmp_path, capsys):
+        data, run = mini
+        dataset = read_dataset(data)
+        raw = bytearray(data.read_bytes())
+        raw[len(raw) - 4 * dataset.images.size - len(dataset)] = 7  # the first label
+        bad = tmp_path / "badlabel.mids"
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run), "--split", "data", "--data", str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "badlabel.mids" in err[0] and "label out of range" in err[0]
 
 
 class TestReportCommand:

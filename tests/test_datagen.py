@@ -210,6 +210,16 @@ class TestMids1Format:
             with pytest.raises(ValueError, match="nan.mids.*non-finite"):
                 read_dataset(path)
 
+    def test_label_out_of_range_names_the_file(self, tmp_path):
+        data = generate(GenSpec(counts=(2, 2, 2), side=8, seed=17))
+        path = tmp_path / "labels.mids"
+        write_dataset(path, data)
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) - data.images.size * 4 - 1] = 3  # the last label; the table has 3 names
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="labels.mids: label out of range"):
+            read_dataset(path)
+
     def test_out_of_range_pixels_rejected(self, tmp_path):
         data = generate(GenSpec(counts=(2, 2, 2), side=8, seed=17))
         path = tmp_path / "range.mids"

@@ -17,7 +17,8 @@ from pfnn.interpret import (
     pca,
     select_feature_layer,
 )
-from pfnn.layers import ModelConfig, build_model
+from pfnn.layers import ModelConfig, ModelSpec, build_model
+from pfnn.trainer import predict
 
 
 def gap_selector_model(channels=3, pick=1, out_sign=1.0):
@@ -310,3 +311,26 @@ class TestSelectFeatureLayer:
         choice = select_feature_layer(stub, data)
         assert choice.layer == "first"
         assert choice.tie
+
+    def test_one_forward_pass_captures_every_candidate(self, monkeypatch):
+        data = generate(GenSpec(counts=(20, 25, 30), side=16, seed=12))
+        model = build_model(ModelConfig(conv_widths=(3, 4), head_units=8, seed=5))
+        expected = {}
+        for name in model.feature_candidates:
+            _, feats = predict(model, data.images, feature_layer=name)
+            result = pca(feats, 3, layer=name)
+            expected[name] = (result.ratios, np.cumsum(result.ratios))
+        images_forwarded = []
+        forward = ModelSpec.forward
+
+        def counted(self, x, *args, **kwargs):
+            images_forwarded.append(x.shape[0])
+            return forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(ModelSpec, "forward", counted)
+        choice = select_feature_layer(model, data)
+        assert sum(images_forwarded) == len(data)
+        assert list(choice.curves) == list(model.feature_candidates)
+        for name, (ratios, cumulative) in expected.items():
+            assert np.array_equal(choice.curves[name][0], ratios)
+            assert np.array_equal(choice.curves[name][1], cumulative)

@@ -17,8 +17,10 @@ from pfnn.trainer import (
     TrainingDiverged,
     adam_step,
     early_stopping,
+    PREDICT_BLOCK_PIXELS,
     fit,
     predict,
+    predict_layers,
     read_history,
     reduce_lr_on_plateau,
     stratified_split,
@@ -264,7 +266,28 @@ class TestFit:
         assert len(excinfo.value.run.history) < 5
 
 
+def block_images(side):
+    """Images per predict block at this side (a multiple of 4, at least 4)."""
+    return max(4, PREDICT_BLOCK_PIXELS // (side * side) // 4 * 4)
+
+
+def counting_forwards(model):
+    """Record the image count of every ``model.forward`` call."""
+    calls = []
+    forward = model.forward
+
+    def counted(x, *args, **kwargs):
+        calls.append(x.shape[0])
+        return forward(x, *args, **kwargs)
+
+    model.forward = counted
+    return calls
+
+
 class TestPredict:
+    def acceptance_model(self):
+        return build_model(ModelConfig(conv_widths=(8, 16), head_units=256, seed=0))
+
     def test_peak_memory_holds_one_batch_graph(self):
         model = build_model(ModelConfig(conv_widths=(4, 8), head_units=16, seed=0))
         images = np.random.default_rng(0).uniform(0, 1, (4 * 256, 16, 16, 1))
@@ -272,9 +295,76 @@ class TestPredict:
         def traced_peak(count):
             tracemalloc.start()
             try:
-                predict(model, images[:count], batch_size=256)
+                predict(model, images[:count])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert traced_peak(4 * 256) < 1.5 * traced_peak(256)
+
+    def test_peak_memory_at_acceptance_shape(self):
+        model = self.acceptance_model()
+        images = np.random.default_rng(1).uniform(0, 1, (512, 32, 32, 1))
+        tracemalloc.start()
+        try:
+            predict(model, images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("side", [16, 32, 64])
+    def test_rows_bit_identical_to_one_whole_forward(self, side):
+        model = self.acceptance_model()
+        block = block_images(side)
+        images = np.random.default_rng(side).uniform(0, 1, (3 * block + 5, side, side, 1))
+        for count in (1, block - 1, block, block + 1, 3 * block + 5):
+            whole = model.forward(Tensor(images[:count]), training=False)
+            probs, feats = predict(model, images[:count])
+            assert np.array_equal(probs, whole.probs.data), count
+            assert np.array_equal(feats, whole.captures["head_features"].data), count
+
+    @pytest.mark.parametrize("side", [16, 32, 64])
+    def test_rows_match_single_image_forwards(self, side):
+        # a lone row goes through numpy's gemv, so agreement is to rounding
+        model = self.acceptance_model()
+        images = np.random.default_rng(side).uniform(0, 1, (block_images(side) + 1, side, side, 1))
+        probs, feats = predict(model, images)
+        for i in range(images.shape[0]):
+            single = model.forward(Tensor(images[i:i + 1]), training=False)
+            np.testing.assert_allclose(probs[i], single.probs.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(feats[i], single.captures["head_features"].data[0],
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("side,block", [(16, 32), (32, 8), (64, 4)])
+    def test_block_size_follows_pixel_budget(self, side, block):
+        model = build_model(ModelConfig(conv_widths=(2,), head_units=4, seed=0))
+        calls = counting_forwards(model)
+        images = np.zeros((3 * block + 2, side, side, 1))
+        predict(model, images)
+        assert calls == [block, block, block, 2]
+        calls.clear()
+        predict(model, images[:2 * block + 1])
+        assert calls == [block, block + 1]  # a one-image tail joins the block before it
+        calls.clear()
+        predict(model, images[:1])
+        assert calls == [1]
+
+    def test_empty_input_is_a_value_error(self):
+        model = build_model(ModelConfig(conv_widths=(2,), head_units=4, seed=0))
+        with pytest.raises(ValueError, match="no images"):
+            predict(model, np.zeros((0, 8, 8, 1)))
+        with pytest.raises(ValueError, match="no images"):
+            predict_layers(model, np.zeros((0, 8, 8, 1)), model.feature_candidates)
+
+    def test_predict_layers_is_one_pass_matching_predict(self):
+        model = build_model(ModelConfig(conv_widths=(3, 4), head_units=8, seed=2))
+        images = np.random.default_rng(4).uniform(0, 1, (70, 16, 16, 1))
+        calls = counting_forwards(model)
+        probs, captured = predict_layers(model, images, model.feature_candidates)
+        assert calls == [32, 32, 6]
+        assert list(captured) == list(model.feature_candidates)
+        for name, feats in captured.items():
+            ref_probs, ref_feats = predict(model, images, feature_layer=name)
+            assert np.array_equal(probs, ref_probs)
+            assert np.array_equal(feats, ref_feats)
