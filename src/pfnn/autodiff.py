@@ -8,9 +8,9 @@ and the reductions/indexing the losses are built from.
 
 conv2d is im2col convolution: one GEMM of the (kh, kw, Cin) patch matrix
 with the flattened kernel per pass. batch_norm is a single op with the
-closed-form backward. Sums over leading axes (bias and batchnorm channel
-sums) are BLAS vector-matrix products, deterministic for a fixed BLAS
-thread count like every matmul in the graph.
+closed-form backward, one affine pass in inference. Leading-axis sums
+(bias grads, batchnorm channel sums, average pooling) are BLAS
+vector-matrix products, deterministic for a fixed BLAS thread count.
 
 Graph representation: every op output keeps references to its inputs
 plus a monotonically increasing creation id. Inputs are always created
@@ -298,7 +298,7 @@ def global_avg_pool(x) -> Tensor:
     def vjp(g):
         return (np.broadcast_to(g[:, None, None, :] / (h * w), x.shape),)
 
-    return _make(x.data.mean(axis=(1, 2)), "gap", (x,), vjp)
+    return _make(np.ones(h * w) @ x.data.reshape(n, h * w, c) / (h * w), "gap", (x,), vjp)
 
 
 def global_max_pool(x) -> Tensor:
@@ -424,13 +424,13 @@ class BatchNormState:
 def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False) -> Tensor:
     """Normalize per channel (last axis) over all other axes, then scale/shift.
 
-    Training mode uses batch statistics and folds them into the running
-    averages; inference mode uses the running statistics as constants.
-    One graph node with the closed-form backward (Ioffe & Szegedy 2015,
-    section 3): with d = g * gamma,
-    dx = inv_std * (d - mean(d) - x_hat * mean(d * x_hat)) in training
-    and dx = inv_std * d in inference; dgamma = sum(g * x_hat) and
-    dbeta = sum(g) in both.
+    Training mode normalizes by the batch statistics and folds them into
+    the running averages. Inference mode is one affine pass with the
+    running statistics as constants: x * a + (beta - running_mean * a),
+    a = gamma * inv_std; its backward rebuilds x_hat. Closed-form backward
+    (Ioffe & Szegedy 2015, section 3), with d = g * gamma:
+    dx = inv_std * (d - mean(d) - x_hat * mean(d * x_hat)) in training,
+    dx = inv_std * d in inference; dgamma = sum(g * x_hat), dbeta = sum(g).
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     c = x.shape[-1]
@@ -445,25 +445,26 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False) ->
         x_hat = x.data - mu
         var = _sum_leading(x_hat * x_hat, lead) / count
         state.update(mu, var)
-    else:
-        x_hat = x.data - state.running_mean
-        var = state.running_var
-    inv_std = 1.0 / np.sqrt(var + state.eps)
-    x_hat *= inv_std
-    out = x_hat * gamma.data
-    out += beta.data
+        inv_std = 1.0 / np.sqrt(var + state.eps)
+        x_hat *= inv_std
+        out = x_hat * gamma.data
+        out += beta.data
+    else:  # one affine pass with the running statistics as constants
+        mu = state.running_mean
+        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        out = x.data * (gamma.data * inv_std)
+        out += beta.data - mu * (gamma.data * inv_std)
 
     def vjp(g):
         dbeta = _sum_leading(g, lead)
-        dgamma = _sum_leading(g * x_hat, lead)
-        scale = gamma.data * inv_std
+        dgamma = _sum_leading(g * (x_hat if training else (x.data - mu) * inv_std), lead)
         if training:
             dx = x_hat * (dgamma / count)
             np.subtract(g, dx, out=dx)
             dx -= dbeta / count
-            dx *= scale
+            dx *= gamma.data * inv_std
         else:
-            dx = g * scale
+            dx = g * (gamma.data * inv_std)
         return (dx, dgamma, dbeta)
 
     return _make(out, "batch_norm", (x, gamma, beta), vjp)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from datetime import datetime
 from pathlib import Path
@@ -65,13 +66,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _write_manifest(run_dir: Path, paths: list[Path]) -> Path:
-    lines = sorted(f"{_sha256(p)}  {p.name}" for p in paths)
-    manifest = run_dir / "manifest.txt"
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return manifest
 
 
 def _log(run_dir: Path, message: str) -> None:
@@ -146,6 +140,10 @@ def cmd_train(args) -> int:
         )
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
+    # a rerun into a used directory must not keep the last run's results or hashes
+    for name in ("manifest.txt", "checkpoint.pfnn", "train.mids", "val.mids", "test.mids"):
+        if (run_dir / name).resolve() != Path(args.data).resolve():  # never the input itself
+            (run_dir / name).unlink(missing_ok=True)
     _log(run_dir, f"train start: data={args.data} seed={exp.seed}")
 
     if exp.test_fraction > 0:
@@ -175,12 +173,13 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt_path, model.state_arrays())
     artifacts.append(ckpt_path)
     for split_name, split_set in (("train", run.train_set), ("val", run.val_set), ("test", test_set)):
-        if split_set is None:
-            continue
-        split_path = run_dir / f"{split_name}.mids"
-        write_dataset(split_path, split_set)
-        artifacts.append(split_path)
-    _write_manifest(run_dir, artifacts)
+        if split_set is not None:
+            write_dataset(run_dir / f"{split_name}.mids", split_set)
+            artifacts.append(run_dir / f"{split_name}.mids")
+    # the manifest goes last and appears whole, so it never lists a missing file
+    manifest = sorted(f"{_sha256(p)}  {p.name}" for p in artifacts)
+    (run_dir / "manifest.partial").write_text("\n".join(manifest) + "\n", encoding="utf-8")
+    os.replace(run_dir / "manifest.partial", run_dir / "manifest.txt")
     _log(run_dir, f"train done: {len(run.history)} epochs, best epoch {run.best_epoch}")
 
     last = run.history[-1]

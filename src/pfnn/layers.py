@@ -175,7 +175,6 @@ class ModelSpec:
             self.params[f"conv{i}/kernel"] = Tensor(
                 _he_uniform(rng, (k, k, in_ch, width), fan_in=k * k * in_ch), requires_grad=True
             )
-            self.params[f"conv{i}/bias"] = Tensor(np.zeros(width), requires_grad=True)
             self.params[f"bn{i}/gamma"] = Tensor(np.ones(width), requires_grad=True)
             self.params[f"bn{i}/beta"] = Tensor(np.zeros(width), requires_grad=True)
             self.bn[f"bn{i}"] = BatchNormState(width)
@@ -216,7 +215,8 @@ class ModelSpec:
         captures: dict[str, Tensor] = {}
         t = x
         for i in range(1, len(self.config.conv_widths) + 1):
-            t = add(conv2d(t, self.params[f"conv{i}/kernel"], "same"), self.params[f"conv{i}/bias"])
+            # no conv bias: the batchnorm after it subtracts the channel mean
+            t = conv2d(t, self.params[f"conv{i}/kernel"], "same")
             t = batch_norm(t, self.params[f"bn{i}/gamma"], self.params[f"bn{i}/beta"],
                            self.bn[f"bn{i}"], training)
             t = relu(t)

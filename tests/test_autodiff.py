@@ -90,6 +90,13 @@ class TestForward:
         np.testing.assert_allclose(global_avg_pool(Tensor(x)).data, x.mean(axis=(1, 2)))
         np.testing.assert_allclose(global_max_pool(Tensor(x)).data, x.max(axis=(1, 2)))
 
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    @pytest.mark.parametrize("hw", [(1, 1), (7, 5), (32, 32)], ids=["1x1", "7x5", "32x32"])
+    def test_global_avg_pool_matches_mean(self, n, hw):
+        x = np.random.default_rng(n).uniform(-2, 2, (n, *hw, 16))
+        np.testing.assert_allclose(global_avg_pool(Tensor(x)).data, x.mean(axis=(1, 2)),
+                                   rtol=0, atol=1e-12)
+
     def test_concat_last_axis(self):
         a, b = np.ones((2, 3)), np.zeros((2, 2))
         out = concat_last([Tensor(a), Tensor(b)])
@@ -369,6 +376,33 @@ class TestBatchNorm:
         expected = (x - mean) / np.sqrt(var + state.eps) * gamma + beta
         out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state, training=training)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+
+    def test_inference_affine_pass_far_from_zero_mean(self):
+        # x * a + b with b = beta - mean * a cancels ~|mean * a| in rounding
+        rng = np.random.default_rng(16)
+        state = BatchNormState(3)
+        state.running_mean, state.running_var = np.array([50.0, -80.0, 0.2]), rng.uniform(0.5, 2, 3)
+        x = state.running_mean + rng.uniform(-3, 3, (4, 5, 5, 3))
+        gamma, beta = rng.uniform(0.5, 1.5, 3), rng.uniform(-0.5, 0.5, 3)
+        expected = (x - state.running_mean) / np.sqrt(state.running_var + state.eps) * gamma + beta
+        out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state, training=False)
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+
+    def test_inference_gradient_rebuilds_x_hat(self):
+        rng = np.random.default_rng(17)
+        state = BatchNormState(2)
+        state.running_mean, state.running_var = np.array([40.0, -25.0]), np.array([2.5, 0.4])
+        x = Tensor(state.running_mean + rng.uniform(-2, 2, (3, 4, 4, 2)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 2), requires_grad=True)
+        beta = Tensor(rng.uniform(-0.5, 0.5, 2), requires_grad=True)
+        weights = rng.uniform(-1, 1, (3, 4, 4, 2))
+
+        def forward():
+            return reduce_sum(mul(batch_norm(x, gamma, beta, state), Tensor(weights)))
+
+        backward(forward())
+        for t in (x, gamma, beta):
+            assert rel_err(t.grad, fd_gradient(forward, t.data)) < 1e-4
 
     def test_inference_uses_running_stats(self):
         state = BatchNormState(2)

@@ -173,6 +173,38 @@ class TestTrain:
         assert (run / "history.csv").exists()
         assert not (run / "checkpoint.pfnn").exists()
 
+    def test_divergent_rerun_leaves_no_stale_artifacts(self, tmp_path):
+        import warnings
+
+        data = tmp_path / "d.mids"
+        assert main(["gen-data", "--counts", "6,6,6", "--side", "8", "--seed", "13",
+                     "--out", str(data)]) == 0
+        run = tmp_path / "run"
+        args = ["train", "--out", str(run), "--seed", "1", "--conv-widths", "3", "--head-units", "8",
+                "--batch-size", "8", "--val-fraction", "0.3", "--dropout-rate", "0.0"]
+        diverge = ["--max-epochs", "5", "--learning-rate", "1e200"]
+        assert main([*args, "--data", str(data), "--max-epochs", "2"]) == 0
+        assert (run / "manifest.txt").exists() and (run / "test.mids").exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([*args, "--data", str(data), *diverge]) == 1
+            # the old manifest, checkpoint and splits are gone with the old run
+            assert sorted(p.name for p in run.iterdir()) == ["config.snapshot", "history.csv", "run.log"]
+            # but an input that sits in the run directory under a split's name stays
+            shutil.copy(data, run / "train.mids")
+            assert main([*args, "--data", str(run / "train.mids"), *diverge]) == 1
+        assert (run / "train.mids").read_bytes() == data.read_bytes()
+
+    def test_manifest_is_replaced_whole(self, mini, tmp_path):
+        data, run = mini
+        rerun = tmp_path / "rerun"
+        shutil.copytree(run, rerun)
+        (rerun / "manifest.txt").write_text("stale\n")
+        assert main(["train", "--data", str(data), "--out", str(rerun),
+                     "--config", str(run / "config.snapshot")]) == 0
+        assert (rerun / "manifest.txt").read_bytes() == (run / "manifest.txt").read_bytes()
+        assert not any(p.suffix == ".partial" for p in rerun.iterdir())
+
 
 class TestEval:
     def test_reports_tables_and_overfit(self, mini, capsys):
@@ -215,6 +247,19 @@ class TestEval:
         assert main(["eval", "--run", str(doctored)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "bn1/running_mean" in err[0]
+
+    def test_checkpoint_with_conv_bias_is_one_error_line(self, mini, tmp_path, capsys):
+        # checkpoints written while the convs still had a bias carry conv1/bias
+        _, run = mini
+        old = tmp_path / "old"
+        shutil.copytree(run, old)
+        state = load_checkpoint(old / "checkpoint.pfnn")
+        state["conv1/bias"] = np.zeros(3)
+        save_checkpoint(old / "checkpoint.pfnn", state)
+        capsys.readouterr()
+        assert main(["eval", "--run", str(old)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'conv1/bias'" in err[0]
 
     def test_missing_split_is_an_error(self, mini):
         _, run = mini

@@ -94,7 +94,6 @@ def threshold_model(threshold):
                                     dropout_rate=0.0, enable_gagm=True,
                                     enable_sevector=False, seed=0))
     model.params["conv1/kernel"].data = np.ones((1, 1, 1, 1))
-    model.params["conv1/bias"].data = np.zeros(1)
     model.params["head/weight"].data = np.array([[0.0, 0.0], [0.0, 1.0]])  # feature1 = max
     model.params["head/bias"].data = np.zeros(2)
     out = np.zeros((2, 3))

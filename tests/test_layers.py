@@ -6,7 +6,7 @@ import pytest
 from oracles import fd_gradient, rel_err
 
 from pfnn.autodiff import ShapeError, Tensor, backward
-from pfnn.checkpoint import CheckpointError
+from pfnn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from pfnn.config import ExperimentConfig, experiment_from_mapping, experiment_to_mapping
 from pfnn.layers import (
     ModelConfig,
@@ -204,6 +204,15 @@ class TestBuildModel:
         state["conv9/kernel"] = np.zeros(3)
         with pytest.raises(CheckpointError, match="unexpected.*'conv9/kernel'"):
             model.load_state(state)
+
+    def test_checkpoint_with_conv_biases_is_rejected(self, tmp_path):
+        # checkpoints written while the convs still had a bias carry conv{i}/bias
+        model = build_model(ModelConfig(conv_widths=(2, 3), head_units=4))
+        state = model.state_arrays()
+        state["conv1/bias"], state["conv2/bias"] = np.zeros(2), np.zeros(3)
+        save_checkpoint(tmp_path / "old.pfnn", state)
+        with pytest.raises(CheckpointError, match="unexpected.*'conv1/bias', 'conv2/bias'"):
+            model.load_state(load_checkpoint(tmp_path / "old.pfnn"))
 
     def test_end_to_end_gradients(self):
         rng = np.random.default_rng(10)
