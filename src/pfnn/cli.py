@@ -9,6 +9,7 @@ can be reproduced byte-identically. Timestamps live only in run.log.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -131,6 +132,17 @@ def _merge_config(args) -> ExperimentConfig:
     return experiment_from_mapping(mapping)
 
 
+# What `pfnn train` writes into a run directory, and what eval, pca and
+# gradcam write into its eval/, pca/ and gradcam/ when --out is not given.
+_RUN_OUTPUTS = (
+    "manifest.txt", "checkpoint.pfnn", "train.mids", "val.mids", "test.mids",
+    "eval/report_*.json", "eval/roc_*.csv", "eval/table1.csv", "eval/table2.csv",
+    "eval/scatter_pairs.csv",
+    "pca/variance_*.csv", "pca/projections.csv", "pca/pca_meta.txt",
+    "gradcam/case_*.ppm", "gradcam/case_*_raw.csv", "gradcam/index.csv",
+)
+
+
 def cmd_train(args) -> int:
     exp = _merge_config(args)
     data = read_dataset(args.data)
@@ -141,9 +153,14 @@ def cmd_train(args) -> int:
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
     # a rerun into a used directory must not keep the last run's results or hashes
-    for name in ("manifest.txt", "checkpoint.pfnn", "train.mids", "val.mids", "test.mids"):
-        if (run_dir / name).resolve() != Path(args.data).resolve():  # never the input itself
-            (run_dir / name).unlink(missing_ok=True)
+    data_path = Path(args.data).resolve()
+    for pattern in _RUN_OUTPUTS:
+        for path in run_dir.glob(pattern):
+            if path.resolve() != data_path:  # never the input itself
+                path.unlink()
+    for sub in ("eval", "pca", "gradcam"):
+        with contextlib.suppress(OSError):
+            (run_dir / sub).rmdir()  # only when pfnn's outputs were all it held
     _log(run_dir, f"train start: data={args.data} seed={exp.seed}")
 
     if exp.test_fraction > 0:

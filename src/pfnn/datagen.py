@@ -7,6 +7,11 @@ Gaussian blob, malignant adds the benign pattern plus a 1-2 pixel
 high-intensity speckle. Average pooling alone barely sees the speckle,
 so a max-pooling branch carries real signal on this data.
 
+Each image draws from its own random stream, spawned from the spec's
+seed, so an image's pixels depend only on the seed and its index. Only
+the draws run image by image; ``generate`` does the pixel arithmetic
+over a chunk of images at a time, in the same per-pixel order.
+
 Pixels are float32 in [0, 1] (the file format stores 32-bit floats, so
 generation quantizes once and round-trips are bit-exact).
 """
@@ -63,29 +68,25 @@ class GenSpec:
     seed: int = 0
 
 
-def _render_image(label: int, spec: GenSpec, rng: np.random.Generator) -> np.ndarray:
-    side = spec.side
-    coarse = rng.uniform(0.15, 0.45, (4, 4))
-    img = bilinear_resize(coarse, side, side)
-    img += rng.normal(0.0, spec.noise_level, (side, side))
-    if label >= 1:
-        amp = rng.uniform(*spec.blob_intensity)
-        sigma = rng.uniform(*spec.blob_radius)
-        cy = rng.uniform(0.25 * side, 0.75 * side)
-        cx = rng.uniform(0.25 * side, 0.75 * side)
-        yy, xx = np.mgrid[0:side, 0:side]
-        img += amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma * sigma))
-    if label == 2:
-        for _ in range(int(rng.integers(1, 3))):
-            y, x = rng.integers(1, side - 1, 2)
-            img[y, x] = rng.uniform(*spec.spike_intensity)
-    return np.clip(img, 0.0, 1.0).astype(np.float32)[..., None]
+# Pixels per chunk of ``generate`` (64 images at side 32, 16 at side 64).
+# Measured on 2048 images, the chunk size barely moves the rate (16-256
+# images at side 32, 8-64 at side 64, all within run-to-run noise), while
+# the float64 working arrays grow with it: the traced peak is 1.35x the 8 MiB
+# side-32 output at 64 images, 1.62x at 128 and 2.15x at 256.
+_CHUNK_PIXELS = 1 << 16
 
 
 def generate(spec: GenSpec) -> LabeledImageSet:
     """Render the dataset described by ``spec``; deterministic per seed.
 
-    Image i draws from the i-th stream spawned from ``spec.seed``.
+    Image i draws from the i-th stream spawned from ``spec.seed``, always
+    in the same order: a 4x4 coarse background, per-pixel Gaussian noise,
+    then for benign and malignant images the blob amplitude, radius and
+    centre, and for malignant ones 1-2 speckle positions and intensities.
+    Only those draws run per image; the arithmetic (background upsample,
+    noise, blob, speckle, clip, float32 cast) runs over chunks of
+    ``_CHUNK_PIXELS`` pixels in the same per-pixel order, so the bytes do not
+    depend on the chunking.
     """
     if spec.side < 8:
         raise ValueError(f"side length must be >= 8, got {spec.side}")
@@ -94,11 +95,46 @@ def generate(spec: GenSpec) -> LabeledImageSet:
     total = int(sum(spec.counts))
     if total < 1:
         raise ValueError("at least one class must be non-empty")
+    side = spec.side
     labels = np.repeat(np.arange(len(spec.counts), dtype=np.uint8), spec.counts)
     streams = np.random.SeedSequence(spec.seed).spawn(total)
-    images = [_render_image(int(label), spec, np.random.default_rng(stream))
-              for label, stream in zip(labels, streams)]
-    return LabeledImageSet(np.stack(images), labels, CLASS_NAMES, "generated")
+    images = np.empty((total, side, side, 1), dtype=np.float32)
+    per_chunk = max(1, _CHUNK_PIXELS // (side * side))
+    grid = np.arange(side)
+    coarse = np.empty((per_chunk, 4, 4))
+    noise = np.empty((per_chunk, side, side))
+    for lo in range(0, total, per_chunk):
+        chunk = labels[lo:lo + per_chunk]
+        k = len(chunk)
+        blobs = []   # (amp, sigma, cy, cx) per image with label >= 1
+        spikes = []  # (row, y, x, value) per speckle, in draw order
+        for row, (label, stream) in enumerate(zip(chunk, streams[lo:lo + per_chunk])):
+            rng = np.random.default_rng(stream)
+            coarse[row] = rng.uniform(0.15, 0.45, (4, 4))
+            noise[row] = rng.normal(0.0, spec.noise_level, (side, side))
+            if label >= 1:
+                amp = rng.uniform(*spec.blob_intensity)
+                sigma = rng.uniform(*spec.blob_radius)
+                cy = rng.uniform(0.25 * side, 0.75 * side)
+                cx = rng.uniform(0.25 * side, 0.75 * side)
+                blobs.append((amp, sigma, cy, cx))
+            if label == 2:
+                for _ in range(int(rng.integers(1, 3))):
+                    y, x = rng.integers(1, side - 1, 2)
+                    spikes.append((row, y, x, rng.uniform(*spec.spike_intensity)))
+        img = bilinear_resize(coarse[:k], side, side)
+        img += noise[:k]
+        if blobs:
+            # labels ascend, so the blob rows are the chunk's last len(blobs)
+            amp, sigma, cy, cx = (np.array(v)[:, None, None] for v in zip(*blobs))
+            img[k - len(blobs):] += amp * np.exp(
+                -((grid[:, None] - cy) ** 2 + (grid - cx) ** 2) / (2.0 * sigma * sigma))
+        if spikes:
+            row, y, x, value = (np.array(v) for v in zip(*spikes))
+            img[row, y, x] = value  # a repeated pixel keeps its last draw
+        np.clip(img, 0.0, 1.0, out=img)
+        images[lo:lo + k, :, :, 0] = img
+    return LabeledImageSet(images, labels, CLASS_NAMES, "generated")
 
 
 def class_distribution(dataset: LabeledImageSet) -> tuple[np.ndarray, np.ndarray]:
@@ -220,14 +256,13 @@ def write_dataset(path, dataset: LabeledImageSet) -> None:
     """magic MIDS1; u32 N,H,W,class-count; name table (u16 len + UTF-8);
     N labels (u8); N*H*W little-endian float32 pixels."""
     n, h, w, _ = dataset.images.shape
-    chunks = [MAGIC, struct.pack("<4I", n, h, w, len(dataset.class_names))]
-    for name in dataset.class_names:
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-    chunks.append(dataset.labels.astype("<u1").tobytes())
-    chunks.append(np.ascontiguousarray(dataset.images[..., 0], dtype="<f4").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<4I", n, h, w, len(dataset.class_names)))
+        for name in dataset.class_names:
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)) + encoded)
+        fh.write(np.ascontiguousarray(dataset.labels, dtype="<u1"))
+        fh.write(np.ascontiguousarray(dataset.images[..., 0], dtype="<f4"))
 
 
 def read_dataset(path) -> LabeledImageSet:
@@ -246,12 +281,12 @@ def read_dataset(path) -> LabeledImageSet:
             pos += length
     except (struct.error, UnicodeDecodeError):
         raise ValueError(f"{path}: truncated or corrupt MIDS1 header") from None
-    labels = np.frombuffer(raw[pos:pos + n], dtype="<u1").copy()
-    pos += n
     expected = n * h * w * 4
-    if len(raw) - pos != expected:
-        raise ValueError(f"{path}: pixel payload is {len(raw) - pos} bytes, expected {expected}")
-    pixels = np.frombuffer(raw[pos:], dtype="<f4").reshape(n, h, w, 1).copy()
+    if len(raw) - pos - n != expected:
+        raise ValueError(f"{path}: pixel payload is {len(raw) - pos - n} bytes, expected {expected}")
+    # views into ``raw``, then one copy each, so the payload is not sliced out first
+    labels = np.frombuffer(raw, dtype="<u1", count=n, offset=pos).copy()
+    pixels = np.frombuffer(raw, dtype="<f4", count=n * h * w, offset=pos + n).reshape(n, h, w, 1).copy()
     bad = int(np.count_nonzero(~np.isfinite(pixels)))
     if bad:
         raise ValueError(f"{path}: {bad} non-finite pixel value(s) (NaN or inf)")

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 
 
-def bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize a 2-D array with bilinear interpolation (corners aligned)."""
-    plane = np.asarray(plane, dtype=np.float64)
-    h, w = plane.shape
+def bilinear_resize(planes: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Resize the last two axes of ``planes`` (..., H, W) with bilinear
+    interpolation (corners aligned). Leading axes are a stack of planes;
+    each output pixel is the same expression as for a lone 2-D plane."""
+    planes = np.asarray(planes, dtype=np.float64)
+    h, w = planes.shape[-2:]
     ys = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
     xs = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
     y0 = np.floor(ys).astype(int)
@@ -18,10 +20,15 @@ def bilinear_resize(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    top = plane[np.ix_(y0, x0)] * (1 - fx) + plane[np.ix_(y0, x1)] * fx
-    bot = plane[np.ix_(y1, x0)] * (1 - fx) + plane[np.ix_(y1, x1)] * fx
-    return top * (1 - fy) + bot * fy
+    fx = xs - x0
+    # interpolate along each input row once, then pick rows y0 and y1 from that
+    rows = planes[..., x0] * (1 - fx) + planes[..., x1] * fx
+    top = np.take(rows, y0, axis=-2)  # C-ordered, unlike rows[..., y0, :]
+    top *= 1 - fy
+    bot = np.take(rows, y1, axis=-2)
+    bot *= fy
+    top += bot
+    return top
 
 
 _STOPS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])

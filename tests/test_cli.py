@@ -195,6 +195,50 @@ class TestTrain:
             assert main([*args, "--data", str(run / "train.mids"), *diverge]) == 1
         assert (run / "train.mids").read_bytes() == data.read_bytes()
 
+    def test_divergent_rerun_drops_old_eval_pca_and_gradcam_outputs(self, tmp_path, capsys):
+        import warnings
+
+        data = tmp_path / "d.mids"
+        assert main(["gen-data", "--counts", "8,8,8", "--side", "8", "--seed", "13",
+                     "--out", str(data)]) == 0
+        run = tmp_path / "run"
+        args = ["train", "--data", str(data), "--out", str(run), "--seed", "1",
+                "--conv-widths", "3", "--head-units", "8", "--batch-size", "8",
+                "--val-fraction", "0.3", "--dropout-rate", "0.0"]
+        assert main([*args, "--max-epochs", "2"]) == 0
+        assert main(["eval", "--run", str(run), "--split", "test", "--split", "train"]) == 0
+        assert main(["pca", "--run", str(run), "--components", "2"]) == 0
+        assert main(["gradcam", "--run", str(run), "--correct", "1", "--wrong", "1"]) == 0
+        for sub in ("eval", "pca", "gradcam"):
+            assert any((run / sub).iterdir())
+        (run / "notes.txt").write_text("kept\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([*args, "--max-epochs", "5", "--learning-rate", "1e200"]) == 1
+        # every file the three commands wrote is gone, and with them their directories
+        assert sorted(p.name for p in run.iterdir()) == [
+            "config.snapshot", "history.csv", "notes.txt", "run.log"]
+        capsys.readouterr()
+        assert main(["report", "--compare", str(run), "--out", str(tmp_path / "cmp")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "report_test.json" in err[0]
+
+    def test_rerun_keeps_other_files_in_output_directories(self, tmp_path):
+        data = tmp_path / "d.mids"
+        assert main(["gen-data", "--counts", "8,8,8", "--side", "8", "--seed", "13",
+                     "--out", str(data)]) == 0
+        run = tmp_path / "run"
+        (run / "eval").mkdir(parents=True)
+        (run / "eval" / "report_test.json").write_text("{}")
+        (run / "eval" / "notes.txt").write_text("kept\n")
+        shutil.copy(data, run / "eval" / "table1.csv")  # the input, under an output's name
+        args = ["train", "--data", str(run / "eval" / "table1.csv"), "--out", str(run),
+                "--seed", "1", "--conv-widths", "3", "--head-units", "8", "--max-epochs", "1",
+                "--batch-size", "8", "--val-fraction", "0.3"]
+        assert main(args) == 0
+        assert sorted(p.name for p in (run / "eval").iterdir()) == ["notes.txt", "table1.csv"]
+        assert (run / "eval" / "table1.csv").read_bytes() == data.read_bytes()
+
     def test_manifest_is_replaced_whole(self, mini, tmp_path):
         data, run = mini
         rerun = tmp_path / "rerun"

@@ -1,8 +1,12 @@
 """Synthetic data generation, targeted augmentation, and MIDS1 round-trips."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pfnn import datagen
 from pfnn.datagen import (
     GenSpec,
     LabeledImageSet,
@@ -17,9 +21,104 @@ from pfnn.datagen import (
     shift_clamped,
     write_dataset,
 )
+from pfnn.imaging import bilinear_resize
+
+
+def data_digest(data: LabeledImageSet) -> str:
+    digest = hashlib.sha256(data.images.tobytes())
+    digest.update(data.labels.tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of image bytes then label bytes, pinned from the one-image-at-a-time
+# renderer; the larger specs span several generate chunks
+GOLDEN = {
+    "side8-two-chunks": (
+        GenSpec((100, 400, 600), side=8, seed=0),
+        "163018258b18352ec26c4b38070a9ba18ab7798bb254aecb5706b31155594b9a"),
+    "side9": (
+        GenSpec((5, 6, 7), side=9, seed=1),
+        "6fcabfa4df5d2b37bd371646d49a3bb7d197cf3da94388f7b433b17c5b64ecdf"),
+    "side16": (
+        GenSpec((10, 20, 40), side=16, seed=2),
+        "ec7e3cb305d15dc00a87a485aeeca31d625315ed1b9ffb254f733a066f9b4aac"),
+    "side32-three-chunks": (
+        GenSpec((20, 40, 70), side=32, seed=3),
+        "c74e8328dae18d07957c7d548bdbf477efe67f928776223254cf8930e29856fd"),
+    "side64-three-chunks": (
+        GenSpec((10, 10, 20), side=64, seed=4),
+        "3bb65ba5e3f27641061e9f5695a6fc1f51d2003b8d6c821b44d6cc0bad14483c"),
+    "single-class": (
+        GenSpec((0, 0, 9), side=12, seed=5),
+        "62bbaeffe539ad27804a364a47d68e41029ba97fe61223466f8114fd4bd07f56"),
+    "zero-count-class": (
+        GenSpec((4, 0, 6), side=16, seed=6),
+        "3c7f174af445a1ab0f4329baf45f93555f1ba79294b16f303de009118c1a182e"),
+    "normal-chunk-then-malignant": (
+        GenSpec((70, 0, 5), side=32, seed=11),
+        "d75e22ded5c01b59f23bed5467a17cc4b8d86bcaeba972553dbec5cc5e4e91ac"),
+    "custom-noise-blob-spike": (
+        GenSpec((3, 3, 3), side=20, seed=7, noise_level=0.2, blob_intensity=(0.1, 0.9),
+                blob_radius=(1.0, 2.0), spike_intensity=(0.5, 0.6)),
+        "02271f334b9d7102c66c1567c914125cb3bbb900f3fba25fbb9e04639697f6db"),
+}
+
+
+def render_by_image(spec: GenSpec) -> np.ndarray:
+    """Reference renderer: one image at a time, the same draws and arithmetic."""
+    side = spec.side
+    labels = np.repeat(np.arange(3), spec.counts)
+    streams = np.random.SeedSequence(spec.seed).spawn(len(labels))
+    yy, xx = np.mgrid[0:side, 0:side]
+    images = []
+    for label, stream in zip(labels, streams):
+        rng = np.random.default_rng(stream)
+        img = bilinear_resize(rng.uniform(0.15, 0.45, (4, 4)), side, side)
+        img += rng.normal(0.0, spec.noise_level, (side, side))
+        if label >= 1:
+            amp = rng.uniform(*spec.blob_intensity)
+            sigma = rng.uniform(*spec.blob_radius)
+            cy = rng.uniform(0.25 * side, 0.75 * side)
+            cx = rng.uniform(0.25 * side, 0.75 * side)
+            img += amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma * sigma))
+        if label == 2:
+            for _ in range(int(rng.integers(1, 3))):
+                y, x = rng.integers(1, side - 1, 2)
+                img[y, x] = rng.uniform(*spec.spike_intensity)
+        images.append(np.clip(img, 0.0, 1.0).astype(np.float32)[..., None])
+    return np.stack(images)
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("spec,digest", GOLDEN.values(), ids=GOLDEN)
+    def test_golden_digest(self, spec, digest):
+        assert data_digest(generate(spec)) == digest
+
+    @pytest.mark.parametrize("spec", [
+        GenSpec((3, 5, 40), side=8, seed=21),
+        GenSpec((25, 30, 35), side=33, seed=22, noise_level=0.01),
+        GenSpec((0, 9, 8), side=70, seed=23, blob_radius=(6.0, 9.0)),
+    ], ids=["side8", "side33", "side70"])
+    def test_matches_per_image_reference(self, spec):
+        assert generate(spec).images.tobytes() == render_by_image(spec).tobytes()
+
+    @pytest.mark.parametrize("images_per_chunk", [1, 3, 64])
+    def test_bytes_do_not_depend_on_chunk_size(self, monkeypatch, images_per_chunk):
+        spec = GenSpec((30, 40, 50), side=16, seed=9)
+        whole = generate(spec)
+        monkeypatch.setattr(datagen, "_CHUNK_PIXELS", images_per_chunk * 16 * 16)
+        assert generate(spec).images.tobytes() == whole.images.tobytes()
+
+    def test_peak_memory_near_output_size(self):
+        tracemalloc.start()
+        try:
+            data = generate(GenSpec((141, 761, 1146), side=32, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.images.nbytes == 8 * 2**20
+        assert peak < 1.6 * data.images.nbytes
+
     def test_single_class_counts(self):
         data = generate(GenSpec(counts=(0, 0, 5), side=12, seed=1))
         assert len(data) == 5
