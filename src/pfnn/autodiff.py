@@ -3,8 +3,8 @@
 The op set is exactly what a small convolutional classifier needs:
 conv2d (stride 1, same/valid padding), dense (matmul + bias), relu,
 sigmoid, softmax, global average/max pooling, last-axis concatenation,
-elementwise arithmetic with broadcasting, dropout, batch normalization,
-and the reductions/indexing the losses are built from.
+add and mul with broadcasting, a full sum, dropout and batch
+normalization. The losses are single nodes of their own (``pfnn.losses``).
 
 conv2d is im2col convolution: one GEMM of the (kh, kw, Cin) patch matrix
 with the flattened kernel per pass. batch_norm is a single op with the
@@ -76,14 +76,8 @@ class Tensor:
             raise ShapeError(f"float() needs a scalar tensor, got shape {self.shape}")
         return float(self.data)
 
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
     def __add__(self, other) -> "Tensor":
         return add(self, other)
-
-    def __sub__(self, other) -> "Tensor":
-        return sub(self, other)
 
     def __mul__(self, other) -> "Tensor":
         return mul(self, other)
@@ -147,20 +141,6 @@ def add(a, b) -> Tensor:
     )
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("sub", a, b)
-    return _make(
-        a.data - b.data, "sub", (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return _make(-a.data, "neg", (a,), lambda g: (-g,))
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast("mul", a, b)
@@ -168,19 +148,6 @@ def mul(a, b) -> Tensor:
         a.data * b.data, "mul", (a, b),
         lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
     )
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    if np.any(a.data <= 0):
-        raise ValueError("log: inputs must be strictly positive (clamp first)")
-    return _make(np.log(a.data), "log", (a,), lambda g: (g / a.data,))
-
-
-def clamp(a, lo: float, hi: float) -> Tensor:
-    a = _as_tensor(a)
-    mask = (a.data >= lo) & (a.data <= hi)
-    return _make(np.clip(a.data, lo, hi), "clamp", (a,), lambda g: (g * mask,))
 
 
 def relu(a) -> Tensor:
@@ -209,7 +176,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# matmul / reshaping / reductions
+# matmul / reductions
 
 
 def matmul(a, b) -> Tensor:
@@ -227,41 +194,10 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, "matmul", (a, b), vjp)
 
 
-def reshape(a, shape: tuple[int, ...]) -> Tensor:
+def reduce_sum(a) -> Tensor:
+    """Sum of every element, as a scalar."""
     a = _as_tensor(a)
-    if int(np.prod(shape)) != a.size:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    return _make(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(a.shape),))
-
-
-def _norm_axes(axes, ndim: int) -> tuple[int, ...]:
-    if axes is None:
-        return tuple(range(ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
-    return tuple(ax % ndim for ax in axes)
-
-
-def _restore_dims(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...], keepdims: bool) -> np.ndarray:
-    if not keepdims:
-        for ax in sorted(axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
-
-
-def reduce_sum(a, axes=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    ax = _norm_axes(axes, a.data.ndim)
-    out = a.data.sum(axis=ax, keepdims=keepdims)
-    return _make(out, "sum", (a,), lambda g: (_restore_dims(g, a.shape, ax, keepdims),))
-
-
-def reduce_mean(a, axes=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    ax = _norm_axes(axes, a.data.ndim)
-    count = int(np.prod([a.shape[i] for i in ax])) or 1
-    out = a.data.mean(axis=ax, keepdims=keepdims)
-    return _make(out, "mean", (a,), lambda g: (_restore_dims(g / count, a.shape, ax, keepdims),))
+    return _make(a.data.sum(), "sum", (a,), lambda g: (np.broadcast_to(g, a.shape),))
 
 
 def concat_last(parts: Sequence[Tensor]) -> Tensor:
@@ -468,45 +404,6 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False) ->
         return (dx, dgamma, dbeta)
 
     return _make(out, "batch_norm", (x, gamma, beta), vjp)
-
-
-# ---------------------------------------------------------------------------
-# indexing
-
-
-def gather_rows(x, indices) -> Tensor:
-    """Select rows along axis 0; backward scatter-adds into place."""
-    x = _as_tensor(x)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows: indices must be 1-D, got shape {idx.shape}")
-    if x.data.ndim < 1 or (idx.size and (idx.min() < 0 or idx.max() >= x.shape[0])):
-        raise ValueError(f"gather_rows: index out of range for {x.shape[0]} rows")
-
-    def vjp(g):
-        buf = np.zeros_like(x.data)
-        np.add.at(buf, idx, g)
-        return (buf,)
-
-    return _make(x.data[idx], "gather_rows", (x,), vjp)
-
-
-def take_per_row(x, columns) -> Tensor:
-    """out[i] = x[i, columns[i]] for a rank-2 input."""
-    x = _as_tensor(x)
-    cols = np.asarray(columns, dtype=np.intp)
-    if x.data.ndim != 2 or cols.shape != (x.shape[0],):
-        raise ShapeError(f"take_per_row: needs (N,C) and N columns, got {x.shape} and {cols.shape}")
-    if cols.size and (cols.min() < 0 or cols.max() >= x.shape[1]):
-        raise ValueError(f"take_per_row: column out of range for width {x.shape[1]}")
-    rows = np.arange(x.shape[0])
-
-    def vjp(g):
-        buf = np.zeros_like(x.data)
-        np.add.at(buf, (rows, cols), g)
-        return (buf,)
-
-    return _make(x.data[rows, cols], "take_per_row", (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

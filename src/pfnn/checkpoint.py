@@ -14,8 +14,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .autodiff import Tensor
-
 MAGIC = b"PFNN1"
 
 
@@ -23,12 +21,10 @@ class CheckpointError(ValueError):
     pass
 
 
-def save_checkpoint(path, tensors: Mapping[str, "np.ndarray | Tensor"]) -> None:
+def save_checkpoint(path, tensors: Mapping[str, np.ndarray]) -> None:
     chunks = [MAGIC]
     for name, value in tensors.items():
-        arr = np.ascontiguousarray(
-            value.data if isinstance(value, Tensor) else np.asarray(value), dtype="<f8"
-        )
+        arr = np.ascontiguousarray(value, dtype="<f8")
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise CheckpointError(f"tensor name too long: {name!r}")

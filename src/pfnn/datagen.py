@@ -18,9 +18,9 @@ generation quantizes once and round-trips are bit-exact).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -97,7 +97,9 @@ def generate(spec: GenSpec) -> LabeledImageSet:
         raise ValueError("at least one class must be non-empty")
     side = spec.side
     labels = np.repeat(np.arange(len(spec.counts), dtype=np.uint8), spec.counts)
-    streams = np.random.SeedSequence(spec.seed).spawn(total)
+    # each spawn continues the child count, so spawning per chunk gives the
+    # streams of one spawn(total) without keeping them all alive
+    seed_seq = np.random.SeedSequence(spec.seed)
     images = np.empty((total, side, side, 1), dtype=np.float32)
     per_chunk = max(1, _CHUNK_PIXELS // (side * side))
     grid = np.arange(side)
@@ -108,7 +110,7 @@ def generate(spec: GenSpec) -> LabeledImageSet:
         k = len(chunk)
         blobs = []   # (amp, sigma, cy, cx) per image with label >= 1
         spikes = []  # (row, y, x, value) per speckle, in draw order
-        for row, (label, stream) in enumerate(zip(chunk, streams[lo:lo + per_chunk])):
+        for row, (label, stream) in enumerate(zip(chunk, seed_seq.spawn(k))):
             rng = np.random.default_rng(stream)
             coarse[row] = rng.uniform(0.15, 0.45, (4, 4))
             noise[row] = rng.normal(0.0, spec.noise_level, (side, side))
@@ -266,32 +268,35 @@ def write_dataset(path, dataset: LabeledImageSet) -> None:
 
 
 def read_dataset(path) -> LabeledImageSet:
-    raw = Path(path).read_bytes()
-    if not raw.startswith(MAGIC):
-        raise ValueError(f"{path}: bad magic, not a MIDS1 dataset")
-    pos = len(MAGIC)
-    try:
-        n, h, w, num_classes = struct.unpack_from("<4I", raw, pos)
-        pos += 16
-        names = []
-        for _ in range(num_classes):
-            (length,) = struct.unpack_from("<H", raw, pos)
-            pos += 2
-            names.append(raw[pos:pos + length].decode("utf-8"))
-            pos += length
-    except (struct.error, UnicodeDecodeError):
-        raise ValueError(f"{path}: truncated or corrupt MIDS1 header") from None
-    expected = n * h * w * 4
-    if len(raw) - pos - n != expected:
-        raise ValueError(f"{path}: pixel payload is {len(raw) - pos - n} bytes, expected {expected}")
-    # views into ``raw``, then one copy each, so the payload is not sliced out first
-    labels = np.frombuffer(raw, dtype="<u1", count=n, offset=pos).copy()
-    pixels = np.frombuffer(raw, dtype="<f4", count=n * h * w, offset=pos + n).reshape(n, h, w, 1).copy()
-    bad = int(np.count_nonzero(~np.isfinite(pixels)))
-    if bad:
-        raise ValueError(f"{path}: {bad} non-finite pixel value(s) (NaN or inf)")
-    bad = int(np.count_nonzero((pixels < 0.0) | (pixels > 1.0)))
-    if bad:
+    with open(path, "rb") as fh:
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise ValueError(f"{path}: bad magic, not a MIDS1 dataset")
+        try:
+            n, h, w, num_classes = struct.unpack("<4I", fh.read(16))
+            names = []
+            for _ in range(num_classes):
+                (length,) = struct.unpack("<H", fh.read(2))
+                encoded = fh.read(length)
+                if len(encoded) != length:
+                    raise struct.error("short name")
+                names.append(encoded.decode("utf-8"))
+        except (struct.error, UnicodeDecodeError):
+            raise ValueError(f"{path}: truncated or corrupt MIDS1 header") from None
+        expected = n * h * w * 4
+        payload = os.fstat(fh.fileno()).st_size - fh.tell() - n
+        if payload != expected:
+            raise ValueError(f"{path}: pixel payload is {payload} bytes, expected {expected}")
+        # read straight into the arrays, so the file is never held as bytes too
+        labels = np.empty(n, dtype="<u1")
+        pixels = np.empty((n, h, w, 1), dtype="<f4")
+        if fh.readinto(labels) != n or fh.readinto(pixels) != expected:
+            raise ValueError(f"{path}: truncated while reading the pixel payload")
+    # min/max allocate nothing and propagate NaN; count the bad pixels only on failure
+    if pixels.size and not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
+        bad = int(np.count_nonzero(~np.isfinite(pixels)))
+        if bad:
+            raise ValueError(f"{path}: {bad} non-finite pixel value(s) (NaN or inf)")
+        bad = int(np.count_nonzero((pixels < 0.0) | (pixels > 1.0)))
         raise ValueError(f"{path}: {bad} pixel value(s) outside [0, 1]")
     try:
         return LabeledImageSet(pixels, labels, tuple(names), "loaded")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, backward, reduce_sum, take_per_row
+from .autodiff import Tensor, backward, mul, reduce_sum
 from .datagen import LabeledImageSet
 from .imaging import bilinear_resize, heat_colormap, to_uint8, write_ppm
 from .layers import ModelSpec
@@ -51,7 +51,9 @@ def grad_cam(model: ModelSpec, image: np.ndarray, target_class: int) -> CamMap:
         raise ValueError(f"grad_cam: target class {target_class} out of range")
     result = model.forward(Tensor(image), training=False)
     activation = result.captures[model.cam_layer]
-    target_logit = reduce_sum(take_per_row(result.logits, [target_class]))
+    one_hot = np.zeros(result.logits.shape)
+    one_hot[0, target_class] = 1.0
+    target_logit = reduce_sum(mul(result.logits, Tensor(one_hot)))
     model.zero_grads()
     backward(target_logit, retain=(activation,))
     grads = activation.grad[0]           # (h, w, K)

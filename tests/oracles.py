@@ -68,6 +68,30 @@ def fsl_two_loop(features: np.ndarray, labels: np.ndarray) -> float:
     return total / len(present)
 
 
+def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+    """d mean(-ln clip(p[i, y_i], floor, 1)) / d probs, row by row: -1/(n p)
+    at the true class, 0 where the clip is active and everywhere else."""
+    n = len(labels)
+    grad = np.zeros_like(probs)
+    for i in range(n):
+        p = probs[i, labels[i]]
+        if floor <= p <= 1.0:
+            grad[i, labels[i]] = (-1.0 / n) / p
+    return grad
+
+
+def fsl_grad_two_loop(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Feature-smoothing gradient 2 (x_i - mu_c) / (n_c |P|), class by class."""
+    present = sorted(set(int(c) for c in labels))
+    grad = np.zeros_like(features)
+    for c in present:
+        members = [i for i in range(len(labels)) if labels[i] == c]
+        centroid = sum(features[i] for i in members) / len(members)
+        for i in members:
+            grad[i] = 2.0 * (features[i] - centroid) / (len(members) * len(present))
+    return grad
+
+
 def metrics_brute_force(labels: np.ndarray, preds: np.ndarray, num_classes: int) -> dict:
     """Per-class precision/recall/F1 and the aggregate battery, by counting."""
     precision, recall, f1, support = [], [], [], []

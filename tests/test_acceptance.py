@@ -18,25 +18,18 @@ from pfnn.autodiff import (
     Tensor,
     add,
     batch_norm,
-    clamp,
     concat_last,
     conv2d,
     dropout,
-    gather_rows,
     global_avg_pool,
     global_max_pool,
     grad_check,
-    log,
     matmul,
     mul,
-    reduce_mean,
     reduce_sum,
     relu,
-    reshape,
     sigmoid,
     softmax,
-    sub,
-    take_per_row,
 )
 from pfnn.checkpoint import load_checkpoint, save_checkpoint
 from pfnn.cli import main
@@ -45,7 +38,7 @@ from pfnn.datagen import GenSpec, augment_to_share, class_distribution, generate
 from pfnn.evalkit import build_report, classification_report, confusion, roc_curve
 from pfnn.interpret import grad_cam, pca
 from pfnn.layers import ModelConfig, build_model
-from pfnn.losses import feature_smoothing_loss, total_loss
+from pfnn.losses import cross_entropy, feature_smoothing_loss, total_loss
 from pfnn.trainer import TrainConfig, early_stopping, fit, predict, \
     reduce_lr_on_plateau, stratified_split
 
@@ -82,17 +75,12 @@ def _op_builders():
 
     simple("add", lambda t, a: add(t, a))
     simple("add_broadcast", lambda t, a: add(t, Tensor(a.data[0])))
-    simple("sub", lambda t, a: sub(a, t))
     simple("mul", lambda t, a: mul(t, a))
     simple("mul_broadcast", lambda t, a: mul(t, Tensor(a.data[:, :1])))
-    simple("neg_reshape", lambda t, a: reshape(sub(Tensor(0.0), t), (4, 3)))
     simple("relu", lambda t, a: relu(t))
     simple("sigmoid", lambda t, a: sigmoid(t))
     simple("softmax", lambda t, a: softmax(t))
-    simple("log", lambda t, a: log(add(mul(t, t), Tensor(0.3))))
-    simple("clamp", lambda t, a: clamp(t, -0.9, 0.9))
-    simple("reduce_sum", lambda t, a: reduce_sum(t, axes=1, keepdims=True))
-    simple("reduce_mean", lambda t, a: reduce_mean(t, axes=0))
+    simple("reduce_sum", lambda t, a: reduce_sum(t))
     simple("concat_last", lambda t, a: concat_last([t, a, t]))
 
     def builder_matmul(rng):
@@ -176,19 +164,27 @@ def _op_builders():
 
     builders["batch_norm"] = builder_batchnorm
 
-    def builder_indexing(rng):
-        x = Tensor(rng.uniform(-1, 1, (5, 4)), requires_grad=True)
-        idx = rng.integers(0, 5, 6)
-        cols = rng.integers(0, 4, 6)
-        w = Tensor(rng.uniform(-1, 1, 6))
+    def builder_cross_entropy(rng):
+        logits = Tensor(rng.uniform(-2, 2, (6, 3)), requires_grad=True)
+        labels = rng.integers(0, 3, 6)
 
         def forward():
-            picked = take_per_row(gather_rows(x, idx), cols)
-            return reduce_sum(mul(picked, w))
+            return cross_entropy(softmax(logits), labels)
 
-        return forward, {"x": x}
+        return forward, {"logits": logits}
 
-    builders["gather_take"] = builder_indexing
+    builders["cross_entropy"] = builder_cross_entropy
+
+    def builder_feature_smoothing(rng):
+        features = Tensor(rng.uniform(-2, 2, (7, 4)), requires_grad=True)
+        labels = rng.integers(0, 3, 7)
+
+        def forward():
+            return feature_smoothing_loss(features, labels)
+
+        return forward, {"features": features}
+
+    builders["feature_smoothing_loss"] = builder_feature_smoothing
     return builders
 
 

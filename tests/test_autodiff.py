@@ -12,25 +12,18 @@ from pfnn.autodiff import (
     add,
     backward,
     batch_norm,
-    clamp,
     concat_last,
     conv2d,
     dropout,
-    gather_rows,
     global_avg_pool,
     global_max_pool,
     grad_check,
-    log,
     matmul,
     mul,
-    reduce_mean,
     reduce_sum,
     relu,
-    reshape,
     sigmoid,
     softmax,
-    sub,
-    take_per_row,
 )
 from pfnn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
@@ -167,12 +160,12 @@ class TestBackward:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_composites_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.uniform(-2, 2, (4, 5, 6)), requires_grad=True)
+        x = Tensor(rng.uniform(-2, 2, (20, 6)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
 
         def forward():
-            h = relu(matmul(reshape(x, (20, 6)), w))
-            s = sigmoid(sub(h, Tensor(0.3)))
+            h = relu(matmul(x, w))
+            s = sigmoid(add(h, Tensor(-0.3)))
             return reduce_sum(mul(s, s))
 
         loss = forward()
@@ -185,19 +178,15 @@ class TestBackward:
 
 OPS_UNDER_TEST = [
     ("add", lambda t, c: add(t, c)),
-    ("sub", lambda t, c: sub(c, t)),
     ("mul", lambda t, c: mul(t, c)),
     ("relu", lambda t, c: relu(t)),
     ("sigmoid", lambda t, c: sigmoid(t)),
     ("softmax", lambda t, c: softmax(t)),
-    ("log", lambda t, c: log(add(mul(t, t), Tensor(0.5)))),
-    ("clamp", lambda t, c: clamp(t, -0.7, 0.7)),
-    ("mean", lambda t, c: reduce_mean(t, axes=1, keepdims=True)),
 ]
 
 
 class TestPerOpGradients:
-    """Every elementwise/reduce op against central differences."""
+    """Every elementwise op against central differences."""
 
     @pytest.mark.parametrize("name,fn", OPS_UNDER_TEST, ids=[n for n, _ in OPS_UNDER_TEST])
     def test_op_gradient(self, name, fn):
@@ -258,21 +247,6 @@ class TestPerOpGradients:
         backward(forward())
         assert x.grad is None
         assert rel_err(k.grad, fd_gradient(forward, k.data)) < 1e-4
-
-    def test_gather_and_take_gradients(self):
-        rng = np.random.default_rng(7)
-        x = Tensor(rng.uniform(-1, 1, (5, 4)), requires_grad=True)
-        idx = np.array([0, 2, 2, 4])
-        cols = np.array([1, 3, 0, 2])
-
-        def forward():
-            g = gather_rows(x, idx)
-            return reduce_sum(mul(take_per_row(g, cols), take_per_row(g, cols)))
-
-        loss = forward()
-        x.zero_grad()
-        backward(loss)
-        assert rel_err(x.grad, fd_gradient(forward, x.data)) < 1e-4
 
 
 class TestDropout:

@@ -332,3 +332,35 @@ class TestMids1Format:
         images[0, 0, 0, 0], images[0, 0, 1, 0] = 0.0, 1.0
         write_dataset(path, LabeledImageSet(images, data.labels))
         assert read_dataset(path).images.tobytes() == images.tobytes()
+
+    def test_mixed_bad_pixels_report_the_non_finite_count_first(self, tmp_path):
+        data = generate(GenSpec(counts=(2, 2, 2), side=8, seed=17))
+        images = data.images.copy()
+        images.reshape(-1)[[3, 40, 90]] = [np.nan, 2.0, -np.inf]
+        path = tmp_path / "mixed.mids"
+        write_dataset(path, LabeledImageSet(images, data.labels))
+        with pytest.raises(ValueError, match="mixed.mids: 2 non-finite"):
+            read_dataset(path)
+
+    def test_empty_set_and_trailing_bytes(self, tmp_path):
+        path = tmp_path / "empty.mids"
+        empty = LabeledImageSet(np.zeros((0, 8, 8, 1)), np.zeros(0))
+        write_dataset(path, empty)
+        assert len(read_dataset(path)) == 0
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="empty.mids: pixel payload is 1 bytes, expected 0"):
+            read_dataset(path)
+
+    def test_read_peak_memory_near_payload(self, tmp_path):
+        data = generate(GenSpec((141, 761, 1146), side=32, seed=0))
+        path = tmp_path / "big.mids"
+        write_dataset(path, data)
+        del data
+        tracemalloc.start()
+        try:
+            loaded = read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.images.nbytes == 8 * 2**20
+        assert peak < 1.3 * loaded.images.nbytes

@@ -4,9 +4,10 @@ two-loop oracle."""
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, fsl_two_loop, rel_err
+from oracles import cross_entropy_grad, fd_gradient, fsl_grad_two_loop, fsl_two_loop, rel_err
 
 from pfnn.autodiff import Tensor, backward
+from pfnn.layers import ModelConfig, build_model
 from pfnn.losses import cross_entropy, feature_smoothing_loss, total_loss
 
 
@@ -38,6 +39,26 @@ class TestCrossEntropy:
     def test_rows_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sums to"):
             cross_entropy(Tensor(np.array([[0.5, 0.2, 0.2]])), np.array([0]))
+
+    @pytest.mark.parametrize("lambda_fs", [None, 0.3], ids=["alone", "in-total-loss"])
+    def test_gradient_equals_oracle_exactly(self, lambda_fs):
+        raw = np.random.default_rng(50).uniform(0.05, 1, (7, 3))
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        probs[0] = [1e-13, 0.6, 0.4 - 1e-13]  # true class below the 1e-12 floor
+        probs[1] = [0.0, 0.0, 1.0]             # true class exactly 0
+        probs[2] = [0.0, 0.0, 1.0]             # true class exactly 1
+        labels = np.array([0, 1, 2, 0, 1, 2, 1])
+        p = Tensor(probs, requires_grad=True)
+        if lambda_fs is None:
+            loss = cross_entropy(p, labels)
+        else:
+            features = Tensor(np.random.default_rng(51).uniform(-1, 1, (7, 4)), requires_grad=True)
+            loss = total_loss(p, labels, features, lambda_fs)
+        backward(loss)
+        expected = cross_entropy_grad(probs, labels)
+        assert expected[0, 0] == 0.0 and expected[1, 1] == 0.0 and expected[2, 2] == -1.0 / 7
+        assert (p.grad == expected).all()
+        assert not np.signbit(p.grad[expected == 0.0]).any()
 
 
 class TestFeatureSmoothingLoss:
@@ -103,6 +124,22 @@ class TestFeatureSmoothingLoss:
         backward(forward())
         assert rel_err(features.grad, fd_gradient(forward, features.data)) < 1e-4
 
+    @pytest.mark.parametrize("labels", [
+        [0, 1, 2, 0, 1, 2, 0, 1],   # every class, uneven sizes
+        [2, 0, 2, 2, 0, 2],         # class 1 absent
+        [1, 0, 0, 0, 2, 2],         # a singleton class
+        [0, 1, 2],                  # singletons only: zero gradient
+        [1, 1, 1, 1],               # one class
+        [0],
+    ], ids=["all", "absent", "singleton", "all-singletons", "one-class", "one-sample"])
+    def test_gradient_matches_closed_form_oracle(self, labels):
+        labels = np.array(labels)
+        rng = np.random.default_rng(len(labels))
+        x = rng.uniform(-3, 3, (len(labels), 5))
+        features = Tensor(x, requires_grad=True)
+        backward(feature_smoothing_loss(features, labels))
+        np.testing.assert_allclose(features.grad, fsl_grad_two_loop(x, labels), rtol=0, atol=1e-12)
+
 
 class TestTotalLoss:
     def test_lambda_zero_equals_cross_entropy_exactly(self):
@@ -144,3 +181,25 @@ class TestTotalLoss:
         backward(loss)
         for t in (logits, features):
             assert rel_err(t.grad, fd_gradient(forward, t.data)) < 1e-4
+
+
+class TestGraphSize:
+    def test_training_loss_is_two_loss_nodes_on_the_model_graph(self):
+        # one bs-16 train step at the acceptance-05 model shape
+        model = build_model(ModelConfig(conv_widths=(8, 16), kernel=3, head_units=256,
+                                        dropout_rate=0.2, classes=3, enable_gagm=True,
+                                        enable_sevector=True, seed=5))
+        rng = np.random.default_rng(0)
+        result = model.forward(Tensor(rng.uniform(0, 1, (16, 32, 32, 1))), training=True, rng=rng)
+        labels = np.arange(16) % 3
+        loss = total_loss(result.probs, labels, result.captures[model.feature_layer], 0.1)
+        seen, stack, ops = set(), [loss], []
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                if t._parents:
+                    ops.append(t._op)
+                    stack.extend(t._parents)
+        assert ops.count("cross_entropy") == 1 and ops.count("feature_smoothing") == 1
+        assert len(ops) <= 27, sorted(ops)
