@@ -82,9 +82,6 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         return mul(self, other)
 
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 
@@ -363,8 +360,9 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False) ->
     Training mode normalizes by the batch statistics and folds them into
     the running averages. Inference mode is one affine pass with the
     running statistics as constants: x * a + (beta - running_mean * a),
-    a = gamma * inv_std; its backward rebuilds x_hat. Closed-form backward
-    (Ioffe & Szegedy 2015, section 3), with d = g * gamma:
+    a = gamma * inv_std. Neither mode keeps x_hat with the graph; backward
+    rebuilds it from the input. Closed-form backward (Ioffe & Szegedy
+    2015, section 3), with d = g * gamma:
     dx = inv_std * (d - mean(d) - x_hat * mean(d * x_hat)) in training,
     dx = inv_std * d in inference; dgamma = sum(g * x_hat), dbeta = sum(g).
     """
@@ -378,12 +376,12 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False) ->
     count = x.size // c
     if training:
         mu = _sum_leading(x.data, lead) / count
-        x_hat = x.data - mu
-        var = _sum_leading(x_hat * x_hat, lead) / count
+        out = x.data - mu
+        var = _sum_leading(out * out, lead) / count
         state.update(mu, var)
         inv_std = 1.0 / np.sqrt(var + state.eps)
-        x_hat *= inv_std
-        out = x_hat * gamma.data
+        out *= inv_std
+        out *= gamma.data
         out += beta.data
     else:  # one affine pass with the running statistics as constants
         mu = state.running_mean
@@ -392,10 +390,13 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False) ->
         out += beta.data - mu * (gamma.data * inv_std)
 
     def vjp(g):
+        x_hat = x.data - mu
+        x_hat *= inv_std
         dbeta = _sum_leading(g, lead)
-        dgamma = _sum_leading(g * (x_hat if training else (x.data - mu) * inv_std), lead)
+        dgamma = _sum_leading(g * x_hat, lead)
         if training:
-            dx = x_hat * (dgamma / count)
+            dx = x_hat
+            dx *= dgamma / count
             np.subtract(g, dx, out=dx)
             dx -= dbeta / count
             dx *= gamma.data * inv_std

@@ -120,24 +120,15 @@ def roc_curve(scores, positives) -> RocCurve:
     if pos_total == 0 or neg_total == 0:
         raise ValueError("ROC needs at least one positive and one negative sample")
     order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = positives[order]
-    fpr = [0.0]
-    tpr = [0.0]
-    thresholds = [float("inf")]
-    tp = fp = 0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_pos[i:j].sum())
-        fp += (j - i) - int(sorted_pos[i:j].sum())
-        fpr.append(fp / neg_total)
-        tpr.append(tp / pos_total)
-        thresholds.append(float(sorted_scores[i]))
-        i = j
+    s = scores[order]
+    # ends: the last index of each run of equal scores. A run's threshold is
+    # its first score, which fixes the sign when -0.0 and 0.0 share a run.
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]), s.size - 1)
+    tp = np.cumsum(positives[order])[ends]
+    fp = ends + 1 - tp
+    fpr = [0.0, *(fp / neg_total).tolist()]
+    tpr = [0.0, *(tp / pos_total).tolist()]
+    thresholds = [float("inf"), *s[np.append(0, ends[:-1] + 1)].tolist()]
     auc = 0.0
     for k in range(1, len(fpr)):
         auc += (fpr[k] - fpr[k - 1]) * (tpr[k] + tpr[k - 1]) / 2.0

@@ -209,7 +209,7 @@ class ModelSpec:
         self.feature_candidates = tuple(candidates)
 
     def forward(self, images, training: bool = False, rng: np.random.Generator | None = None) -> ForwardResult:
-        x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=np.float64))
+        x = images if isinstance(images, Tensor) else Tensor(images)
         if x.data.ndim != 4 or x.shape[-1] != INPUT_CHANNELS:
             raise ShapeError(f"model input must be (N,H,W,{INPUT_CHANNELS}), got {x.shape}")
         captures: dict[str, Tensor] = {}

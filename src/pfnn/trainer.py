@@ -240,9 +240,10 @@ def _forward_blocks(
     block before it: OpenBLAS's dgemm rounds the rows of a tail of fewer
     than 4 rows differently (seen on the 3-wide output layer), and numpy
     sends a lone row to gemv. So every row is bit-identical to one
-    forward over all the images, whatever the block size.
+    forward over all the images, whatever the block size. Only the
+    current block is cast to float64; float32 pixels are never copied whole.
     """
-    images = np.asarray(images, dtype=np.float64)
+    images = np.asarray(images)
     n = images.shape[0]
     if n == 0:
         raise ValueError("predict: no images to predict on (empty split)")
@@ -303,7 +304,8 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
 
     The validation loss is the same objective as training (CE plus the
     weighted feature-smoothing term on the model's penultimate features)
-    computed on the whole validation split at once.
+    computed on the whole validation split at once. The splits' pixels
+    stay float32; each batch and inference block is cast on its own.
     """
     if len(data) == 0:
         raise ValueError("fit: dataset is empty")
@@ -311,9 +313,7 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
     train_set, val_set = stratified_split(data, config.val_fraction, config.seed)
     if len(val_set) == 0:
         raise ValueError("fit: validation split is empty; increase val_fraction")
-    x_train = np.asarray(train_set.images, dtype=np.float64)
     y_train = train_set.labels.astype(np.intp)
-    x_val = np.asarray(val_set.images, dtype=np.float64)
     y_val = val_set.labels.astype(np.intp)
 
     rng = np.random.default_rng([config.seed, 1])
@@ -327,7 +327,7 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
     best_epoch = 0
     best_state = model.state_arrays()
     stopped_early = False
-    n = x_train.shape[0]
+    n = len(train_set)
 
     def run_so_far() -> TrainRun:
         return TrainRun(history, best_epoch, best_state, stopped_early, train_set, val_set)
@@ -339,7 +339,7 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
             running_correct = 0
             for start in range(0, n, config.batch_size):
                 idx = perm[start:start + config.batch_size]
-                result = model.forward(Tensor(x_train[idx]), training=True, rng=rng)
+                result = model.forward(Tensor(train_set.images[idx]), training=True, rng=rng)
                 loss = total_loss(result.probs, y_train[idx],
                                   result.captures[source], config.lambda_fs)
                 loss_value = float(loss.data)
@@ -351,7 +351,7 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
                 running_loss += loss_value * idx.size
                 running_correct += int((result.predictions == y_train[idx]).sum())
 
-            val_loss, val_acc = _eval_split(model, x_val, y_val, config.lambda_fs, source)
+            val_loss, val_acc = _eval_split(model, val_set.images, y_val, config.lambda_fs, source)
             history.append(EpochRecord(epoch, running_loss / n, running_correct / n,
                                        val_loss, val_acc, plateau.lr))
             if not math.isfinite(val_loss):

@@ -137,6 +137,34 @@ def auc_concordance(scores: np.ndarray, positives: np.ndarray) -> float:
     return wins / (len(pos) * len(neg))
 
 
+def roc_curve_loop(scores: np.ndarray, positives: np.ndarray):
+    """(fpr, tpr, thresholds, auc) by walking the descending scores one
+    tie group at a time, the trapezoid AUC summed left to right."""
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_pos = positives[order]
+    pos_total = int(positives.sum())
+    neg_total = int(positives.size - pos_total)
+    fpr, tpr, thresholds = [0.0], [0.0], [float("inf")]
+    tp = fp = 0
+    i = 0
+    n = scores.size
+    while i < n:
+        j = i
+        while j < n and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        tp += int(sorted_pos[i:j].sum())
+        fp += (j - i) - int(sorted_pos[i:j].sum())
+        fpr.append(fp / neg_total)
+        tpr.append(tp / pos_total)
+        thresholds.append(float(sorted_scores[i]))
+        i = j
+    auc = 0.0
+    for k in range(1, len(fpr)):
+        auc += (fpr[k] - fpr[k - 1]) * (tpr[k] + tpr[k - 1]) / 2.0
+    return tuple(fpr), tuple(tpr), tuple(thresholds), float(auc)
+
+
 def pca_eigh(features: np.ndarray, k: int):
     """Covariance eigendecomposition via np.linalg.eigh."""
     x = np.asarray(features, dtype=np.float64)

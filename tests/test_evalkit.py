@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import auc_concordance, metrics_brute_force
+from oracles import auc_concordance, metrics_brute_force, roc_curve_loop
 
 from pfnn.evalkit import (
     EvalReport,
@@ -144,6 +144,23 @@ class TestRocCurve:
             positives[0] = ~positives[0]
         curve = roc_curve(scores, positives)
         assert curve.auc == pytest.approx(auc_concordance(scores, positives), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_repr_equal_to_loop_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 400))
+        # every fourth case quantizes the scores (ties); one in eight mixes -0.0 into 0.0
+        scores = rng.uniform(-1, 1, n)
+        if seed % 4 == 0:
+            scores = np.round(scores, 1)
+        if seed % 8 == 0:
+            scores[rng.integers(0, 2, n).astype(bool)] = -0.0
+            scores[: n // 3] = 0.0
+        positives = rng.integers(0, 2, n).astype(bool)
+        positives[0], positives[-1] = True, False
+        curve = roc_curve(scores, positives)
+        got = (curve.fpr, curve.tpr, curve.thresholds, curve.auc)
+        assert repr(got) == repr(roc_curve_loop(scores, positives))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(99)

@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pfnn.autodiff import Tensor
+from pfnn.autodiff import Tensor, backward
 from pfnn.datagen import GenSpec, LabeledImageSet, generate
 from pfnn.layers import ModelConfig, build_model
+from pfnn.losses import total_loss
 from pfnn.trainer import (
     AdamState,
     EarlyStopping,
@@ -30,6 +31,16 @@ from pfnn.trainer import (
 
 def toy_set(counts=(10, 12, 14), side=8, seed=0):
     return generate(GenSpec(counts=counts, side=side, seed=seed))
+
+
+def traced_peak(fn) -> int:
+    """Peak traced bytes allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestStratifiedSplit:
@@ -252,6 +263,29 @@ class TestFit:
         with pytest.raises(ValueError, match="empty"):
             fit(self.small_model(), empty, TrainConfig(max_epochs=1, seed=0))
 
+    def test_peak_memory_holds_no_float64_copy_of_the_splits(self):
+        # the pixels stay float32 and each batch is cast on its own; float64
+        # copies of both splits alone would be twice the float32 payload
+        data = toy_set((500, 700, 800), side=16)
+        model = build_model(ModelConfig(conv_widths=(4, 8), head_units=16, seed=0))
+        peak = traced_peak(lambda: fit(model, data, TrainConfig(max_epochs=1, batch_size=8, seed=0)))
+        assert peak < 4.5 * data.images.nbytes
+
+    def test_train_step_peak_memory_at_acceptance_shape(self):
+        # one bs-16 forward and backward; batchnorm keeps no normalized copy
+        model = build_model(ModelConfig(conv_widths=(8, 16), head_units=256, dropout_rate=0.2, seed=0))
+        batch = toy_set((4, 6, 6), side=32, seed=1)
+        labels = batch.labels.astype(np.intp)
+
+        def step():
+            result = model.forward(Tensor(batch.images), training=True, rng=np.random.default_rng(0))
+            loss = total_loss(result.probs, labels, result.captures[model.feature_layer], 0.1)
+            model.zero_grads()
+            backward(loss)
+
+        step()  # numpy imports some modules on first use; keep them out of the peak
+        assert traced_peak(step) < 22.5 * 2**20
+
     def test_divergence_aborts_with_partial_history(self):
         import warnings
 
@@ -292,26 +326,30 @@ class TestPredict:
         model = build_model(ModelConfig(conv_widths=(4, 8), head_units=16, seed=0))
         images = np.random.default_rng(0).uniform(0, 1, (4 * 256, 16, 16, 1))
 
-        def traced_peak(count):
-            tracemalloc.start()
-            try:
-                predict(model, images[:count])
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        def peak(count):
+            return traced_peak(lambda: predict(model, images[:count]))
 
-        assert traced_peak(4 * 256) < 1.5 * traced_peak(256)
+        assert peak(4 * 256) < 1.5 * peak(256)
 
     def test_peak_memory_at_acceptance_shape(self):
         model = self.acceptance_model()
         images = np.random.default_rng(1).uniform(0, 1, (512, 32, 32, 1))
-        tracemalloc.start()
-        try:
-            predict(model, images)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert traced_peak(lambda: predict(model, images)) < 32 * 2**20
+
+    def test_float32_images_are_cast_per_block(self):
+        # a float64 copy of the whole input would alone be twice the payload
+        model = self.acceptance_model()
+        images = toy_set((600, 700, 748), side=32, seed=2).images
+        assert images.dtype == np.float32
+        assert traced_peak(lambda: predict(model, images)) < 2 * images.nbytes
+
+    def test_float32_and_float64_images_predict_byte_equal(self):
+        model = self.acceptance_model()
+        images = toy_set((7, 9, 11), side=32, seed=3).images
+        probs32, feats32 = predict(model, images)
+        probs64, feats64 = predict(model, images.astype(np.float64))
+        assert probs32.tobytes() == probs64.tobytes()
+        assert feats32.tobytes() == feats64.tobytes()
 
     @pytest.mark.parametrize("side", [16, 32, 64])
     def test_rows_bit_identical_to_one_whole_forward(self, side):
