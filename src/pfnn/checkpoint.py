@@ -57,10 +57,13 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         except (struct.error, UnicodeDecodeError):
             raise CheckpointError(
                 f"{path}: truncated or corrupt tensor header after {len(out)} tensor(s)") from None
+        if name in out:
+            raise CheckpointError(f"{path}: tensor {name!r} appears more than once")
         count = int(np.prod(extents)) if rank else 1
         end = pos + 8 * count
         if end > len(raw):
             raise CheckpointError(f"{path}: truncated data for tensor {name!r}")
-        out[name] = np.frombuffer(raw[pos:end], dtype="<f8").reshape(extents).astype(np.float64)
+        # one copy out of the file buffer, so the tensor is writable and owns its memory
+        out[name] = np.frombuffer(raw, "<f8", count, offset=pos).reshape(extents).astype(np.float64)
         pos = end
     return out

@@ -286,8 +286,6 @@ def cmd_gradcam(args) -> int:
     run_dir = Path(args.run)
     exp, model = _load_run(run_dir)
     dataset = _load_split(run_dir, args.split, args.data)
-    if not getattr(model, "cam_layer", None):
-        raise ValueError("model designates no cam layer")
     target = _class_index(args.target_class, dataset.class_names)
     out_dir = Path(args.out) if args.out else run_dir / "gradcam"
     gallery = cam_case_gallery(model, dataset, args.correct, args.wrong, out_dir, target)

@@ -239,25 +239,23 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def write_table1(reports, path) -> None:
-    """Global performance and overfitting table, one row per model."""
+def _write_table(reports, path, columns) -> None:
+    """One row per report: the model name, then each metric column."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TABLE1_FIELDS)
+        writer.writerow(columns)
         for r in reports:
-            writer.writerow([r.model, _fmt(r.accuracy), _fmt(r.loss), _fmt(r.macro_f1),
-                             _fmt(r.f1_std), _fmt(r.recall_min), _fmt(r.recall_std),
-                             _fmt(r.overfit_acc), _fmt(r.overfit_f1), _fmt(r.overfit_loss)])
+            writer.writerow([r.model, *(_fmt(getattr(r, name)) for name in columns[1:])])
+
+
+def write_table1(reports, path) -> None:
+    """Global performance and overfitting table, one row per model."""
+    _write_table(reports, path, TABLE1_FIELDS)
 
 
 def write_table2(reports, path) -> None:
     """Inter-class equity and dispersion table, one row per model."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TABLE2_FIELDS)
-        for r in reports:
-            writer.writerow([r.model, _fmt(r.f1_mean), _fmt(r.f1_std),
-                             _fmt(r.recall_mean), _fmt(r.recall_std)])
+    _write_table(reports, path, TABLE2_FIELDS)
 
 
 def write_scatter_pairs(reports, path) -> None:

@@ -1,16 +1,24 @@
 """Architectural blocks: dual-pooling fusion, the channel gate, and the
 classifier head, composable into a small conv-stack model.
 
-The pooling fusion concatenates the per-channel spatial mean and max of
-the last feature map into one descriptor, so the head sees both global
-statistics and salient activations. The channel gate is a two-layer
-squeeze/excite bottleneck producing sigmoid weights that rescale the
-fused vector. Both are ablation switches on the model config.
+The pooling fusion (``gagm``) concatenates the per-channel spatial mean
+and max of the last (N, H, W, C) feature map into one (N, 2C) descriptor,
+so the head sees both global statistics and salient activations. The
+channel gate (``sevector``) is a two-layer squeeze/excite bottleneck
+producing sigmoid weights that rescale the fused vector; its weights are
+the model's ``se/w1``, ``se/b1``, ``se/w2`` and ``se/b2`` parameters. Both
+are ablation switches on the model config.
+
+``ModelSpec`` owns every parameter (``params``) and batchnorm state
+(``bn``). ``forward`` returns the probabilities, the logits and the named
+hidden layers in ``captures``: ``conv{i}_relu``, ``pool_fused`` (or
+``pool_gap`` without fusion), ``attended`` (with the gate) and
+``head_features``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -36,26 +44,16 @@ from .checkpoint import CheckpointError
 INPUT_CHANNELS = 1
 
 
-@dataclass
-class GagmOutput:
-    """Per-channel spatial mean, spatial max, and their concatenation."""
-
-    v_avg: Tensor   # (N, C)
-    u_max: Tensor   # (N, C)
-    u_fused: Tensor  # (N, 2C) = [v_avg ; u_max]
-
-
-def gagm(feature_maps: Tensor) -> GagmOutput:
-    """Fuse global average and global max pooling of a batch of N x H x W x C maps.
+def gagm(feature_maps: Tensor) -> Tensor:
+    """Fuse global average and global max pooling of a batch of N x H x W x C maps
+    into one (N, 2C) descriptor, the C means first and then the C maxima.
 
     Gradients flow through both branches; the max branch routes to the
     first maximal element of each channel in row-major order.
     """
     if feature_maps.data.ndim != 4:
         raise ShapeError(f"gagm: expects rank-4 (N,H,W,C), got {feature_maps.shape}")
-    v_avg = global_avg_pool(feature_maps)
-    u_max = global_max_pool(feature_maps)
-    return GagmOutput(v_avg, u_max, concat_last([v_avg, u_max]))
+    return concat_last([global_avg_pool(feature_maps), global_max_pool(feature_maps)])
 
 
 def compressed_units(width: int, reduction_ratio: int) -> int:
@@ -63,55 +61,15 @@ def compressed_units(width: int, reduction_ratio: int) -> int:
     return max(8, width // reduction_ratio)
 
 
-@dataclass
-class SeVectorParams:
-    """Weights of the two-layer gate over a width-W pooled vector."""
-
-    w1: Tensor  # (W, compressed)
-    b1: Tensor  # (compressed,)
-    w2: Tensor  # (compressed, W)
-    b2: Tensor  # (W,)
-    reduction_ratio: int = 16
-
-    def __post_init__(self):
-        width, squeezed = self.w1.shape
-        expected = compressed_units(width, self.reduction_ratio)
-        if squeezed != expected:
-            raise ShapeError(
-                f"sevector: bottleneck width {squeezed} != max(8, {width} // {self.reduction_ratio}) = {expected}"
-            )
-        if self.b1.shape != (squeezed,) or self.w2.shape != (squeezed, width) or self.b2.shape != (width,):
-            raise ShapeError(
-                f"sevector: inconsistent parameter shapes {self.w1.shape}, {self.b1.shape}, "
-                f"{self.w2.shape}, {self.b2.shape}"
-            )
-
-    @property
-    def width(self) -> int:
-        return self.w1.shape[0]
-
-    @classmethod
-    def create(cls, width: int, reduction_ratio: int, rng: np.random.Generator) -> "SeVectorParams":
-        squeezed = compressed_units(width, reduction_ratio)
-        return cls(
-            w1=Tensor(_he_uniform(rng, (width, squeezed), fan_in=width), requires_grad=True),
-            b1=Tensor(np.zeros(squeezed), requires_grad=True),
-            w2=Tensor(_he_uniform(rng, (squeezed, width), fan_in=squeezed), requires_grad=True),
-            b2=Tensor(np.zeros(width), requires_grad=True),
-            reduction_ratio=reduction_ratio,
-        )
-
-
-def sevector(u_fused: Tensor, params: SeVectorParams) -> Tensor:
+def sevector(u: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Rescale the pooled vector by sigmoid gates: u * sigma(W2 relu(W1 u + b1) + b2).
 
-    Accepts a single vector (W,) or a batch (N, W).
+    Accepts a single vector (W,) or a batch (N, W); ``w1`` is (W, squeezed)
+    and ``w2`` is (squeezed, W).
     """
-    if u_fused.shape[-1] != params.width:
-        raise ShapeError(f"sevector: input width {u_fused.shape[-1]} != parameter width {params.width}")
-    squeezed = relu(add(matmul(u_fused, params.w1), params.b1))
-    gate = sigmoid(add(matmul(squeezed, params.w2), params.b2))
-    return u_fused * gate
+    squeezed = relu(add(matmul(u, w1), b1))
+    gate = sigmoid(add(matmul(squeezed, w2), b2))
+    return u * gate
 
 
 def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -136,12 +94,7 @@ class ModelConfig:
 class ForwardResult:
     probs: Tensor
     logits: Tensor
-    features: Tensor
-    captures: dict[str, Tensor] = field(default_factory=dict)
-
-    @property
-    def predictions(self) -> np.ndarray:
-        return self.probs.data.argmax(axis=1)
+    captures: dict[str, Tensor]
 
 
 class ModelSpec:
@@ -169,6 +122,10 @@ class ModelSpec:
         self.bn: dict[str, BatchNormState] = {}
         rng = np.random.default_rng(config.seed)
 
+        def dense(weight: str, bias: str, fan_in: int, units: int) -> None:
+            self.params[weight] = Tensor(_he_uniform(rng, (fan_in, units), fan_in), requires_grad=True)
+            self.params[bias] = Tensor(np.zeros(units), requires_grad=True)
+
         in_ch = INPUT_CHANNELS
         k = config.kernel
         for i, width in enumerate(config.conv_widths, 1):
@@ -180,25 +137,14 @@ class ModelSpec:
             self.bn[f"bn{i}"] = BatchNormState(width)
             in_ch = width
 
+        # the draw order (kernels, se/w1, se/w2, head, out) fixes the init bytes
         pooled_width = in_ch * 2 if config.enable_gagm else in_ch
-
-        self.se_params: SeVectorParams | None = None
         if config.enable_sevector:
-            se = SeVectorParams.create(pooled_width, config.reduction_ratio, rng)
-            self.params["se/w1"], self.params["se/b1"] = se.w1, se.b1
-            self.params["se/w2"], self.params["se/b2"] = se.w2, se.b2
-            self.se_params = se
-
-        self.params["head/weight"] = Tensor(
-            _he_uniform(rng, (pooled_width, config.head_units), fan_in=pooled_width), requires_grad=True
-        )
-        self.params["head/bias"] = Tensor(np.zeros(config.head_units), requires_grad=True)
-
-        self.params["out/weight"] = Tensor(
-            _he_uniform(rng, (config.head_units, config.classes), fan_in=config.head_units),
-            requires_grad=True,
-        )
-        self.params["out/bias"] = Tensor(np.zeros(config.classes), requires_grad=True)
+            squeezed = compressed_units(pooled_width, config.reduction_ratio)
+            dense("se/w1", "se/b1", pooled_width, squeezed)
+            dense("se/w2", "se/b2", squeezed, pooled_width)
+        dense("head/weight", "head/bias", pooled_width, config.head_units)
+        dense("out/weight", "out/bias", config.head_units, config.classes)
 
         self.cam_layer = f"conv{len(config.conv_widths)}_relu"
         self.feature_layer = "head_features"
@@ -223,25 +169,19 @@ class ModelSpec:
             captures[f"conv{i}_relu"] = t
 
         if self.config.enable_gagm:
-            fused = gagm(t)
-            pooled = fused.u_fused
-            captures["pool_avg"], captures["pool_max"] = fused.v_avg, fused.u_max
-            captures["pool_fused"] = pooled
+            pooled = captures["pool_fused"] = gagm(t)
         else:
-            pooled = global_avg_pool(t)
-            captures["pool_gap"] = pooled
+            pooled = captures["pool_gap"] = global_avg_pool(t)
 
-        if self.se_params is not None:
-            pooled = sevector(pooled, self.se_params)
-            captures["attended"] = pooled
+        if self.config.enable_sevector:
+            p = self.params
+            pooled = captures["attended"] = sevector(pooled, p["se/w1"], p["se/b1"], p["se/w2"], p["se/b2"])
 
         features = relu(add(matmul(pooled, self.params["head/weight"]), self.params["head/bias"]))
         captures["head_features"] = features
         dropped = dropout(features, self.config.dropout_rate, rng, training)
         logits = add(matmul(dropped, self.params["out/weight"]), self.params["out/bias"])
-        probs = softmax(logits, axis=-1)
-        captures["logits"], captures["probs"] = logits, probs
-        return ForwardResult(probs=probs, logits=logits, features=features, captures=captures)
+        return ForwardResult(softmax(logits, axis=-1), logits, captures)
 
     # -- state management ---------------------------------------------------
 

@@ -144,30 +144,27 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float) -> None
 # callbacks
 
 
-class ReduceLROnPlateau:
-    """Multiply lr by ``factor`` after ``patience`` epochs without the
-    monitored loss improving by more than ``min_delta``; the wait counter
-    resets when a reduction fires."""
+class Plateau:
+    """Patience counter over a monitored loss: ``step`` fires after
+    ``patience`` epochs in a row without the loss improving by more than
+    ``min_delta`` on the best seen, and the wait counter resets when it fires."""
 
-    def __init__(self, lr: float, patience: int = 5, factor: float = 0.5, min_delta: float = 1e-4):
-        self.lr = lr
+    def __init__(self, patience: int, min_delta: float = 1e-4):
         self.patience = patience
-        self.factor = factor
         self.min_delta = min_delta
         self.best = math.inf
         self.wait = 0
 
-    def step(self, val_loss: float) -> bool:
-        if val_loss < self.best - self.min_delta:
-            self.best = val_loss
+    def step(self, loss: float) -> bool:
+        if loss < self.best - self.min_delta:
+            self.best = loss
             self.wait = 0
             return False
         self.wait += 1
-        if self.wait >= self.patience:
-            self.lr *= self.factor
-            self.wait = 0
-            return True
-        return False
+        if self.wait < self.patience:
+            return False
+        self.wait = 0
+        return True
 
 
 def reduce_lr_on_plateau(
@@ -178,30 +175,13 @@ def reduce_lr_on_plateau(
     A reduction fired at the end of epoch e changes the rate from epoch
     e+1 on, matching what the training loop records.
     """
-    sched = ReduceLROnPlateau(lr0, patience, factor, min_delta)
-    trace = []
+    plateau = Plateau(patience, min_delta)
+    lr, trace = lr0, []
     for loss in val_losses:
-        trace.append(sched.lr)
-        sched.step(loss)
+        trace.append(lr)
+        if plateau.step(loss):
+            lr *= factor
     return trace
-
-
-class EarlyStopping:
-    """Signal a stop after ``patience`` epochs without improvement."""
-
-    def __init__(self, patience: int = 10, min_delta: float = 1e-4):
-        self.patience = patience
-        self.min_delta = min_delta
-        self.best = math.inf
-        self.wait = 0
-
-    def step(self, val_loss: float) -> bool:
-        if val_loss < self.best - self.min_delta:
-            self.best = val_loss
-            self.wait = 0
-            return False
-        self.wait += 1
-        return self.wait >= self.patience
 
 
 def early_stopping(val_losses, patience: int, min_delta: float = 1e-4) -> tuple[int | None, int]:
@@ -210,14 +190,10 @@ def early_stopping(val_losses, patience: int, min_delta: float = 1e-4) -> tuple[
     The best epoch is the first minimum of the losses seen up to the
     stop; best-weights restoration targets exactly that epoch.
     """
-    stopper = EarlyStopping(patience, min_delta)
-    stop_epoch = None
-    for i, loss in enumerate(val_losses, 1):
-        if stopper.step(loss):
-            stop_epoch = i
-            break
-    seen = list(val_losses)[: stop_epoch if stop_epoch is not None else len(list(val_losses))]
-    best_epoch = int(np.argmin(seen)) + 1
+    losses = list(val_losses)
+    plateau = Plateau(patience, min_delta)
+    stop_epoch = next((i for i, loss in enumerate(losses, 1) if plateau.step(loss)), None)
+    best_epoch = int(np.argmin(losses[:stop_epoch])) + 1
     return stop_epoch, best_epoch
 
 
@@ -318,9 +294,9 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
 
     rng = np.random.default_rng([config.seed, 1])
     adam = AdamState()
-    plateau = ReduceLROnPlateau(config.learning_rate, config.rlrop_patience,
-                                config.rlrop_factor, config.min_delta)
-    stopper = EarlyStopping(config.early_stop_patience, config.min_delta)
+    lr = config.learning_rate
+    lr_plateau = Plateau(config.rlrop_patience, config.min_delta)
+    stop_plateau = Plateau(config.early_stop_patience, config.min_delta)
 
     history: list[EpochRecord] = []
     best_val = math.inf
@@ -347,22 +323,22 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
                     raise TrainingDiverged(f"non-finite training loss at epoch {epoch}")
                 model.zero_grads()
                 backward(loss)
-                adam_step(model.params, adam, plateau.lr)
+                adam_step(model.params, adam, lr)
                 running_loss += loss_value * idx.size
-                running_correct += int((result.predictions == y_train[idx]).sum())
+                running_correct += int((result.probs.data.argmax(axis=1) == y_train[idx]).sum())
 
             val_loss, val_acc = _eval_split(model, val_set.images, y_val, config.lambda_fs, source)
             history.append(EpochRecord(epoch, running_loss / n, running_correct / n,
-                                       val_loss, val_acc, plateau.lr))
+                                       val_loss, val_acc, lr))
             if not math.isfinite(val_loss):
                 raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
             if val_loss < best_val:
                 best_val = val_loss
                 best_epoch = epoch
                 best_state = model.state_arrays()
-            should_stop = stopper.step(val_loss)
-            plateau.step(val_loss)
-            if should_stop:
+            if lr_plateau.step(val_loss):
+                lr *= config.rlrop_factor
+            if stop_plateau.step(val_loss):
                 stopped_early = True
                 break
     except TrainingDiverged as exc:

@@ -198,7 +198,7 @@ def _composite_builder(rng):
 
     def forward():
         result = model.forward(Tensor(images), training=True)
-        return total_loss(result.probs, labels, result.features, 0.1)
+        return total_loss(result.probs, labels, result.captures[model.feature_layer], 0.1)
 
     return forward, model.params
 

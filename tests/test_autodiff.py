@@ -28,6 +28,7 @@ from pfnn.autodiff import (
     softmax,
 )
 from pfnn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from pfnn.layers import ModelConfig, build_model
 
 
 # (input, kernel) shapes: odd, 1x1, even (asymmetric `same` padding) and Cin = 1 kernels
@@ -452,6 +453,16 @@ class TestCheckpointFormat:
         path = tmp_path / "bad.pfnn"
         path.write_bytes(b"NOPE!")
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(path)
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        # a second out/bias appended to a default model's checkpoint must not
+        # silently replace the first
+        path, extra = tmp_path / "twice.pfnn", tmp_path / "extra.pfnn"
+        save_checkpoint(path, build_model(ModelConfig()).state_arrays())
+        save_checkpoint(extra, {"out/bias": np.full(3, 7.0)})
+        path.write_bytes(path.read_bytes() + extra.read_bytes()[len(b"PFNN1"):])
+        with pytest.raises(CheckpointError, match=r"twice\.pfnn.*'out/bias'"):
             load_checkpoint(path)
 
     def test_every_truncation_is_a_checkpoint_error_or_shorter(self, tmp_path):

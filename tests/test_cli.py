@@ -305,6 +305,18 @@ class TestEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "'conv1/bias'" in err[0]
 
+    def test_repeated_tensor_name_is_one_error_line(self, mini, tmp_path, capsys):
+        _, run = mini
+        twice = tmp_path / "twice"
+        shutil.copytree(run, twice)
+        path = twice / "checkpoint.pfnn"
+        save_checkpoint(tmp_path / "extra.pfnn", {"out/bias": np.full(3, 7.0)})
+        path.write_bytes(path.read_bytes() + (tmp_path / "extra.pfnn").read_bytes()[len(b"PFNN1"):])
+        capsys.readouterr()
+        assert main(["eval", "--run", str(twice)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'out/bias'" in err[0]
+
     def test_missing_split_is_an_error(self, mini):
         _, run = mini
         assert main(["eval", "--run", str(run), "--split", "data"]) == 1

@@ -5,12 +5,11 @@ import pytest
 
 from oracles import fd_gradient, rel_err
 
-from pfnn.autodiff import ShapeError, Tensor, backward
+from pfnn.autodiff import ShapeError, Tensor, backward, global_avg_pool, global_max_pool
 from pfnn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from pfnn.config import ExperimentConfig, experiment_from_mapping, experiment_to_mapping
 from pfnn.layers import (
     ModelConfig,
-    SeVectorParams,
     build_model,
     compressed_units,
     gagm,
@@ -20,24 +19,47 @@ from pfnn.losses import total_loss
 from pfnn.trainer import TrainConfig
 
 
+def gagm_halves(feature_maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (avg, max) halves of the fused descriptor of ``feature_maps``."""
+    fused = gagm(Tensor(feature_maps)).data
+    c = feature_maps.shape[-1]
+    return fused[:, :c], fused[:, c:]
+
+
+def random_gate(rng: np.random.Generator, width: int, ratio: int) -> list[Tensor]:
+    """(w1, b1, w2, b2) of a channel gate over a width-``width`` vector."""
+    squeezed = compressed_units(width, ratio)
+    shapes = [(width, squeezed), (squeezed,), (squeezed, width), (width,)]
+    return [Tensor(rng.uniform(-1, 1, shape)) for shape in shapes]
+
+
+def zero_gate(width: int, b2: float = 0.0) -> list[Tensor]:
+    squeezed = compressed_units(width, 16)
+    return [Tensor(np.zeros((width, squeezed))), Tensor(np.zeros(squeezed)),
+            Tensor(np.zeros((squeezed, width))), Tensor(np.full(width, b2))]
+
+
 class TestGagm:
     def test_constant_map_mean_equals_max(self):
-        out = gagm(Tensor(np.full((1, 4, 5, 3), 2.5)))
-        np.testing.assert_array_equal(out.v_avg.data[0], [2.5] * 3)
-        np.testing.assert_array_equal(out.u_max.data[0], [2.5] * 3)
-        np.testing.assert_array_equal(out.u_fused.data[0], [2.5] * 6)
+        fm = np.full((1, 4, 5, 3), 2.5)
+        avg, mx = gagm_halves(fm)
+        np.testing.assert_array_equal(avg[0], [2.5] * 3)
+        np.testing.assert_array_equal(mx[0], [2.5] * 3)
+        np.testing.assert_array_equal(gagm(Tensor(fm)).data[0], [2.5] * 6)
 
     def test_two_by_two_enumeration(self):
-        out = gagm(Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 2, 2, 1)))
-        np.testing.assert_array_equal(out.v_avg.data[0], [2.5])
-        np.testing.assert_array_equal(out.u_max.data[0], [4.0])
-        np.testing.assert_array_equal(out.u_fused.data[0], [2.5, 4.0])
+        fm = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 2, 2, 1)
+        avg, mx = gagm_halves(fm)
+        np.testing.assert_array_equal(avg[0], [2.5])
+        np.testing.assert_array_equal(mx[0], [4.0])
+        np.testing.assert_array_equal(gagm(Tensor(fm)).data[0], [2.5, 4.0])
 
     def test_fused_width_doubles_channels(self):
-        out = gagm(Tensor(np.random.default_rng(0).uniform(0, 1, (1, 6, 6, 3))))
-        assert out.u_fused.shape == (1, 6)
-        np.testing.assert_array_equal(out.u_fused.data[:, :3], out.v_avg.data)
-        np.testing.assert_array_equal(out.u_fused.data[:, 3:], out.u_max.data)
+        fm = np.random.default_rng(0).uniform(0, 1, (1, 6, 6, 3))
+        fused = gagm(Tensor(fm))
+        assert fused.shape == (1, 6)
+        np.testing.assert_array_equal(fused.data[:, :3], global_avg_pool(Tensor(fm)).data)
+        np.testing.assert_array_equal(fused.data[:, 3:], global_max_pool(Tensor(fm)).data)
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError, match="gagm"):
@@ -46,31 +68,31 @@ class TestGagm:
     def test_mean_never_exceeds_max(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            out = gagm(Tensor(rng.uniform(-4, 4, (1, 5, 7, 4))))
-            assert np.all(out.v_avg.data <= out.u_max.data + 1e-15)
+            avg, mx = gagm_halves(rng.uniform(-4, 4, (1, 5, 7, 4)))
+            assert np.all(avg <= mx + 1e-15)
 
     def test_channel_permutation_equivariance(self):
         rng = np.random.default_rng(2)
         fm = rng.uniform(-1, 1, (1, 4, 4, 5))
         perm = rng.permutation(5)
-        base = gagm(Tensor(fm))
-        permuted = gagm(Tensor(fm[..., perm]))
-        np.testing.assert_array_equal(permuted.v_avg.data, base.v_avg.data[:, perm])
-        np.testing.assert_array_equal(permuted.u_max.data, base.u_max.data[:, perm])
+        base_avg, base_max = gagm_halves(fm)
+        avg, mx = gagm_halves(fm[..., perm])
+        np.testing.assert_array_equal(avg, base_avg[:, perm])
+        np.testing.assert_array_equal(mx, base_max[:, perm])
 
     def test_spatial_permutation_invariance(self):
         rng = np.random.default_rng(3)
         fm = rng.uniform(-1, 1, (1, 3, 4, 2))
         shuffled = fm.reshape(12, 2)[rng.permutation(12)].reshape(1, 3, 4, 2)
         base, moved = gagm(Tensor(fm)), gagm(Tensor(shuffled))
-        np.testing.assert_allclose(moved.u_fused.data, base.u_fused.data, atol=1e-15)
+        np.testing.assert_allclose(moved.data, base.data, atol=1e-15)
 
     def test_positive_scaling_is_linear(self):
         rng = np.random.default_rng(4)
         fm = rng.uniform(-1, 1, (1, 4, 4, 3))
         lam = 2.75
         base, scaled = gagm(Tensor(fm)), gagm(Tensor(lam * fm))
-        np.testing.assert_allclose(scaled.u_fused.data, lam * base.u_fused.data, rtol=1e-13)
+        np.testing.assert_allclose(scaled.data, lam * base.data, rtol=1e-13)
 
 
 class TestSeVector:
@@ -80,53 +102,46 @@ class TestSeVector:
         assert compressed_units(6, 16) == 8
 
     def test_zero_params_halve_input(self):
-        params = SeVectorParams(
-            w1=Tensor(np.zeros((32, 8))), b1=Tensor(np.zeros(8)),
-            w2=Tensor(np.zeros((8, 32))), b2=Tensor(np.zeros(32)),
-            reduction_ratio=16,
-        )
         u = Tensor(np.arange(32.0))
-        np.testing.assert_allclose(sevector(u, params).data, 0.5 * u.data)
+        np.testing.assert_allclose(sevector(u, *zero_gate(32)).data, 0.5 * u.data)
 
     def test_output_never_exceeds_input_magnitude(self):
         rng = np.random.default_rng(5)
-        params = SeVectorParams.create(16, 4, rng)
+        params = random_gate(rng, 16, 4)
         for _ in range(10):
             u = Tensor(rng.uniform(-3, 3, 16))
-            out = sevector(u, params)
+            out = sevector(u, *params)
             assert np.all(np.abs(out.data) <= np.abs(u.data) + 1e-15)
 
     def test_large_positive_bias_opens_gate(self):
-        params = SeVectorParams(
-            w1=Tensor(np.zeros((16, 8))), b1=Tensor(np.zeros(8)),
-            w2=Tensor(np.zeros((8, 16))), b2=Tensor(np.full(16, 30.0)),
-            reduction_ratio=16,
-        )
         u = Tensor(np.linspace(-2, 2, 16))
-        out = sevector(u, params)
+        out = sevector(u, *zero_gate(16, b2=30.0))
         gate = out.data / np.where(u.data == 0, 1.0, u.data)
         assert np.all(gate[u.data != 0] > 1 - 1e-9)
 
     def test_bottleneck_width_validated(self):
-        with pytest.raises(ShapeError, match="bottleneck"):
-            SeVectorParams(
-                w1=Tensor(np.zeros((32, 4))), b1=Tensor(np.zeros(4)),
-                w2=Tensor(np.zeros((4, 32))), b2=Tensor(np.zeros(32)),
-                reduction_ratio=16,
-            )
+        # the model builds the gate's bottleneck as max(8, W // r) over the pooled width W
+        for widths, gagm_on, ratio in [((8, 16), True, 16), ((4, 64), True, 4),
+                                       ((4, 64), False, 2), ((6,), True, 1)]:
+            model = build_model(ModelConfig(conv_widths=widths, enable_gagm=gagm_on, reduction_ratio=ratio))
+            width = widths[-1] * (2 if gagm_on else 1)
+            squeezed = compressed_units(width, ratio)
+            shapes = {name: model.params[f"se/{name}"].shape for name in ("w1", "b1", "w2", "b2")}
+            assert shapes == {"w1": (width, squeezed), "b1": (squeezed,),
+                              "w2": (squeezed, width), "b2": (width,)}
 
     def test_width_mismatch_rejected(self):
-        params = SeVectorParams.create(16, 4, np.random.default_rng(0))
-        with pytest.raises(ShapeError, match="width"):
-            sevector(Tensor(np.zeros(12)), params)
+        params = random_gate(np.random.default_rng(0), 16, 4)
+        with pytest.raises(ShapeError, match="matmul"):
+            sevector(Tensor(np.zeros(12)), *params)
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(6)
-        params = SeVectorParams.create(10, 2, rng)
+        params = random_gate(rng, 10, 2)
         batch = rng.uniform(-1, 1, (5, 10))
-        batched = sevector(Tensor(batch), params).data
+        batched = sevector(Tensor(batch), *params).data
         for i in range(5):
-            single = sevector(Tensor(batch[i]), params).data
+            single = sevector(Tensor(batch[i]), *params).data
             np.testing.assert_allclose(batched[i], single, atol=1e-15)
 
 
@@ -146,7 +161,7 @@ class TestBuildModel:
     def test_penultimate_feature_width_is_head_units(self):
         model = build_model(ModelConfig(head_units=256))
         out = model.forward(np.zeros((1, 10, 10, 1)))
-        assert out.features.shape == (1, 256)
+        assert out.captures["head_features"].shape == (1, 256)
         assert model.feature_layer == "head_features"
 
     def test_rejects_zero_classes_and_empty_backbone(self):
@@ -181,7 +196,7 @@ class TestBuildModel:
         fm = out.captures["conv1_relu"]
         for i in range(4):
             single = gagm(Tensor(fm.data[i:i + 1]))
-            np.testing.assert_allclose(out.captures["pool_fused"].data[i], single.u_fused.data[0], atol=1e-12)
+            np.testing.assert_allclose(out.captures["pool_fused"].data[i], single.data[0], atol=1e-12)
 
     def test_state_round_trip(self):
         model = build_model(ModelConfig(conv_widths=(2, 3), head_units=8, seed=4))
@@ -222,7 +237,7 @@ class TestBuildModel:
 
         def forward():
             res = model.forward(Tensor(x), training=True)
-            return total_loss(res.probs, labels, res.features, 0.1)
+            return total_loss(res.probs, labels, res.captures[model.feature_layer], 0.1)
 
         loss = forward()
         model.zero_grads()

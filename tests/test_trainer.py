@@ -1,7 +1,9 @@
 """Splitting, Adam, the callback schedules, and the training loop."""
 
+import hashlib
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -12,8 +14,7 @@ from pfnn.layers import ModelConfig, build_model
 from pfnn.losses import total_loss
 from pfnn.trainer import (
     AdamState,
-    EarlyStopping,
-    ReduceLROnPlateau,
+    Plateau,
     TrainConfig,
     TrainingDiverged,
     adam_step,
@@ -131,10 +132,8 @@ class TestReduceLROnPlateau:
         trace = reduce_lr_on_plateau(losses, 1.0, patience=5, factor=0.5)
         # reductions fire at the ends of epochs 6 and 11
         assert trace == [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5]
-        sched = ReduceLROnPlateau(1.0, patience=5, factor=0.5)
-        for loss in losses:
-            sched.step(loss)
-        assert sched.lr == 0.25
+        plateau = Plateau(patience=5)
+        assert [plateau.step(loss) for loss in losses].count(True) == 2  # lr 1.0 * 0.5**2
 
     def test_improvement_below_min_delta_counts_as_plateau(self):
         losses = [1.0, 1.0 - 5e-5, 1.0 - 6e-5]
@@ -142,13 +141,14 @@ class TestReduceLROnPlateau:
         assert trace == [1.0, 1.0, 1.0]  # reduction fires at end of epoch 3
 
     def test_counter_resets_after_reduction(self):
-        sched = ReduceLROnPlateau(1.0, patience=2, factor=0.5)
-        assert not sched.step(1.0)
-        assert not sched.step(1.0)
-        assert sched.step(1.0)  # reduce, counter resets
-        assert not sched.step(1.0)
-        assert sched.step(1.0)  # second reduction two epochs later
-        assert sched.lr == 0.25
+        plateau = Plateau(patience=2)
+        assert not plateau.step(1.0)
+        assert not plateau.step(1.0)
+        assert plateau.step(1.0)  # reduce, counter resets
+        assert not plateau.step(1.0)
+        assert plateau.step(1.0)  # second reduction two epochs later
+        # both reductions are in effect from epoch 6 on
+        assert reduce_lr_on_plateau([1.0] * 6, 1.0, patience=2, factor=0.5)[-1] == 0.25
 
 
 class TestEarlyStopping:
@@ -406,3 +406,73 @@ class TestPredict:
             ref_probs, ref_feats = predict(model, images, feature_layer=name)
             assert np.array_equal(probs, ref_probs)
             assert np.array_equal(feats, ref_feats)
+
+
+def arrays_digest(arrays) -> str:
+    """sha256 over each name, then its float64 bytes, in mapping order."""
+    digest = hashlib.sha256()
+    for name, value in arrays.items():
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    return digest.hexdigest()
+
+
+def run_digest(run, model) -> str:
+    """sha256 of the history's reprs, the best epoch, the stop flag and the restored state."""
+    digest = hashlib.sha256(repr([astuple(r) for r in run.history]).encode())
+    digest.update(repr((run.best_epoch, run.stopped_early)).encode())
+    digest.update(arrays_digest(model.state_arrays()).encode())
+    return digest.hexdigest()
+
+
+# sha256 of (init state, one predict's probs and head features, a 2-epoch
+# fit) per GAGM x SEVector config. They pin the init draw order, the params
+# key order and the forward's op order; the predict and fit digests also
+# depend on the BLAS build rounding every GEMM the same way.
+GOLDEN_MODEL = {
+    "gagm-se": (True, True, (
+        "0e485a35e0152533f44118513d8dea9f1dee4675e5bf86c4c48cbc9c656b94fe",
+        "c89d347a94db6a39d080ca5f9cc7fd60f97bb12f4ae2fcb50760091a73f3730e",
+        "7cdb71a738a213d1a90d423e91c33e5366b3ad56203158df24fe7a228053eebf")),
+    "gagm": (True, False, (
+        "d098dded171b0e5cf28c22eb0680e8e91f96638a8c0559fd30fea7f98cd3efeb",
+        "12c7b7a0b9b4f217d67b3b2a31be7fd7819c1fe81baeef8030ef09e6f5d74884",
+        "f96eb35044ea0b323290e042701b4fe5fe71e4835c97367512cd221a24cc33d7")),
+    "se": (False, True, (
+        "72efdd5a1fc934117496de59d65ff1a40b025cd19056fe89721fe85f7998d87c",
+        "15a01600b670c032322c3b062d0803c2578c1219ab04cd7649ca8addd3f8ce16",
+        "d315cef9c0643a08577c4b50b1b322298b91aa8fa33287512600b0e162912ba8")),
+    "bare": (False, False, (
+        "dad8497989446dc68d6ca828afc86a2ae6c6eaaff57076dc74714af28ffbef0f",
+        "252c7da623e8fc0392ac01dced2615a66f646d61de5298c45bbbfbf8a5e1b41e",
+        "05e69bb73194fa7fdce1a1a9196c1a50ff259887bcaeb11b1eb6e76f38a2fe1f")),
+}
+
+
+class TestGoldenModel:
+    @staticmethod
+    def golden_model(enable_gagm=True, enable_sevector=True):
+        return build_model(ModelConfig(conv_widths=(4, 8), head_units=16, dropout_rate=0.2,
+                                       enable_gagm=enable_gagm, enable_sevector=enable_sevector, seed=3))
+
+    @pytest.mark.parametrize("gagm_on,se_on,digests", GOLDEN_MODEL.values(), ids=GOLDEN_MODEL)
+    def test_init_predict_and_fit_digests(self, gagm_on, se_on, digests):
+        data = generate(GenSpec(counts=(8, 10, 12), side=12, seed=5))
+        model = self.golden_model(gagm_on, se_on)
+        init = arrays_digest(model.state_arrays())
+        probs, feats = predict(model, data.images)
+        run = fit(model, data, TrainConfig(max_epochs=2, batch_size=8, learning_rate=1e-3,
+                                           seed=3, val_fraction=0.25))
+        assert (init, arrays_digest({"probs": probs, "features": feats}), run_digest(run, model)) == digests
+
+    def test_lr_cut_and_early_stop_digest(self):
+        # min_delta 1.0 makes every epoch after the first a plateau epoch: the
+        # lr is cut after epoch 2 and the run stops after epoch 3
+        data = generate(GenSpec(counts=(8, 10, 12), side=12, seed=5))
+        model = self.golden_model()
+        run = fit(model, data, TrainConfig(max_epochs=4, batch_size=8, learning_rate=1e-3, seed=3,
+                                           val_fraction=0.25, rlrop_patience=1,
+                                           early_stop_patience=2, min_delta=1.0))
+        assert [r.lr for r in run.history] == [1e-3, 1e-3, 5e-4]
+        assert run.stopped_early
+        assert run_digest(run, model) == "7e83c4f149aa4e62b6fcf10a1ee08177e2a89a7cdca8b97899f009bea53ea6ab"
