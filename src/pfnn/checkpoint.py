@@ -8,6 +8,7 @@ write -> read -> write is byte-identical.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 from typing import Mapping
@@ -59,7 +60,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 f"{path}: truncated or corrupt tensor header after {len(out)} tensor(s)") from None
         if name in out:
             raise CheckpointError(f"{path}: tensor {name!r} appears more than once")
-        count = int(np.prod(extents)) if rank else 1
+        count = math.prod(extents)  # Python ints, so huge extents cannot wrap around
         end = pos + 8 * count
         if end > len(raw):
             raise CheckpointError(f"{path}: truncated data for tensor {name!r}")

@@ -302,7 +302,7 @@ def cmd_pca(args) -> int:
 
     if args.layer == "auto":
         choice = select_feature_layer(model, dataset)
-        layer = choice.layer
+        layer, probs, feats = choice.layer, choice.probs, choice.features
         for name, (ratios, cumulative) in choice.curves.items():
             write_variance_curve(ratios, cumulative, out_dir / f"variance_{name}.csv")
         selection_note = "highest cumulative explained variance over the first 3 components"
@@ -315,8 +315,7 @@ def cmd_pca(args) -> int:
                 f"unknown feature layer {layer!r}; candidates: {', '.join(model.feature_candidates)}"
             )
         selection_note = "explicitly requested"
-
-    probs, feats = predict(model, dataset.images, feature_layer=layer)
+        probs, feats = predict(model, dataset.images, feature_layer=layer)
     k = min(args.components, feats.shape[0] - 1, feats.shape[1])
     result = pca(feats, k, layer=layer)
     write_projections(result, dataset.labels, probs.argmax(axis=1), out_dir / "projections.csv")

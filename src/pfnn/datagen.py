@@ -103,23 +103,24 @@ def generate(spec: GenSpec) -> LabeledImageSet:
     images = np.empty((total, side, side, 1), dtype=np.float32)
     per_chunk = max(1, _CHUNK_PIXELS // (side * side))
     grid = np.arange(side)
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), so one random(4) per
+    # blob, scaled per chunk, draws amplitude, radius and centre to the same values
+    centre = (0.25 * side, 0.75 * side)
+    bounds = np.array([spec.blob_intensity, spec.blob_radius, centre, centre])  # (4, [lo, hi])
+    blob_lo, blob_span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     coarse = np.empty((per_chunk, 4, 4))
     noise = np.empty((per_chunk, side, side))
     for lo in range(0, total, per_chunk):
         chunk = labels[lo:lo + per_chunk]
         k = len(chunk)
-        blobs = []   # (amp, sigma, cy, cx) per image with label >= 1
+        blobs = []   # one unit draw of (amp, sigma, cy, cx) per image with label >= 1
         spikes = []  # (row, y, x, value) per speckle, in draw order
         for row, (label, stream) in enumerate(zip(chunk, seed_seq.spawn(k))):
             rng = np.random.default_rng(stream)
             coarse[row] = rng.uniform(0.15, 0.45, (4, 4))
             noise[row] = rng.normal(0.0, spec.noise_level, (side, side))
             if label >= 1:
-                amp = rng.uniform(*spec.blob_intensity)
-                sigma = rng.uniform(*spec.blob_radius)
-                cy = rng.uniform(0.25 * side, 0.75 * side)
-                cx = rng.uniform(0.25 * side, 0.75 * side)
-                blobs.append((amp, sigma, cy, cx))
+                blobs.append(rng.random(4))
             if label == 2:
                 for _ in range(int(rng.integers(1, 3))):
                     y, x = rng.integers(1, side - 1, 2)
@@ -128,7 +129,7 @@ def generate(spec: GenSpec) -> LabeledImageSet:
         img += noise[:k]
         if blobs:
             # labels ascend, so the blob rows are the chunk's last len(blobs)
-            amp, sigma, cy, cx = (np.array(v)[:, None, None] for v in zip(*blobs))
+            amp, sigma, cy, cx = (blob_lo + blob_span * np.array(blobs)).T[:, :, None, None]
             img[k - len(blobs):] += amp * np.exp(
                 -((grid[:, None] - cy) ** 2 + (grid - cx) ** 2) / (2.0 * sigma * sigma))
         if spikes:
@@ -147,42 +148,26 @@ def class_distribution(dataset: LabeledImageSet) -> tuple[np.ndarray, np.ndarray
     return counts, counts / counts.sum()
 
 
-# ---------------------------------------------------------------------------
-# augmentation transforms (lossless or near-lossless)
-
-
-def flip_h(img: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(img[:, ::-1])
-
-
-def flip_v(img: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(img[::-1])
-
-
-def rot90k(img: np.ndarray, k: int) -> np.ndarray:
-    return np.ascontiguousarray(np.rot90(img, k % 4, axes=(0, 1)))
-
-
-def shift_clamped(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Integer shift with edge clamping (pixels pulled from the nearest edge)."""
-    h, w = img.shape[:2]
-    ys = np.clip(np.arange(h) - dy, 0, h - 1)
-    xs = np.clip(np.arange(w) - dx, 0, w - 1)
-    return np.ascontiguousarray(img[np.ix_(ys, xs)])
+# Augmented copies are shifted by at most this many pixels along each axis.
+AUGMENT_MAX_SHIFT = 3
 
 
 def augment_to_share(
     dataset: LabeledImageSet, target_class: int, target_share: float, seed: int,
-    max_shift: int = 3,
 ) -> LabeledImageSet:
     """Append transformed copies of the target class until its share
     reaches ``target_share`` (and stays below it by less than one sample).
 
-    Transforms are flips, quarter rotations, and integer shifts of up to
-    ``max_shift`` pixels with edge clamping, applied to original
-    target-class images only. Originals are untouched and keep their
+    Each copy draws, in this order: an original target-class image, a flip
+    (none, horizontal or vertical), a number of quarter turns, and an
+    integer shift (dy, dx) of up to ``AUGMENT_MAX_SHIFT`` pixels whose
+    vacated pixels repeat the nearest edge. The images must be square, so
+    a quarter turn keeps the shape. Originals are untouched and keep their
     positions.
     """
+    h, w = dataset.images.shape[1:3]
+    if h != w:
+        raise ValueError(f"augmentation needs square images, got H={h}, W={w}")
     counts, shares = class_distribution(dataset)
     if not 0 <= target_class < len(dataset.class_names):
         raise ValueError(f"target class {target_class} out of range")
@@ -203,20 +188,23 @@ def augment_to_share(
         )
     rng = np.random.default_rng(seed)
     source_idx = np.flatnonzero(dataset.labels == target_class)
-    new_images = []
-    for _ in range(needed):
-        img = dataset.images[rng.choice(source_idx)]
-        flip = int(rng.integers(0, 3))
-        if flip == 1:
-            img = flip_h(img)
-        elif flip == 2:
-            img = flip_v(img)
-        img = rot90k(img, int(rng.integers(0, 4)))
-        dy, dx = (int(v) for v in rng.integers(-max_shift, max_shift + 1, 2))
-        if dy or dx:
-            img = shift_clamped(img, dy, dx)
-        new_images.append(img)
-    images = np.concatenate([dataset.images, np.stack(new_images)])
+    draws = np.empty((needed, 5), dtype=np.intp)  # source, flip, turns, dy, dx
+    for row in draws:
+        row[0] = source_idx[rng.integers(0, source_idx.size)]
+        row[1] = rng.integers(0, 3)
+        row[2] = rng.integers(0, 4)
+        row[3:] = rng.integers(-AUGMENT_MAX_SHIFT, AUGMENT_MAX_SHIFT + 1, 2)
+    source, flip, turns, dy, dx = draws.T
+    copies = dataset.images[source]
+    for axis, group in ((2, flip == 1), (1, flip == 2)):
+        copies[group] = np.flip(copies[group], axis)
+    for k in (1, 2, 3):
+        group = turns == k
+        copies[group] = np.rot90(copies[group], k, axes=(1, 2))
+    rows = np.clip(np.arange(h) - dy[:, None], 0, h - 1)
+    cols = np.clip(np.arange(w) - dx[:, None], 0, w - 1)
+    copies = copies[np.arange(needed)[:, None, None], rows[:, :, None], cols[:, None, :]]
+    images = np.concatenate([dataset.images, copies])
     labels = np.concatenate([dataset.labels, np.full(needed, target_class, dtype=np.uint8)])
     return LabeledImageSet(images, labels, dataset.class_names, "augmented")
 

@@ -214,13 +214,16 @@ class FeatureLayerChoice:
     layer: str
     curves: dict[str, tuple[np.ndarray, np.ndarray]]  # name -> (ratios, cumulative)
     tie: bool
+    features: np.ndarray  # (N, D) of the chosen layer
+    probs: np.ndarray     # (N, classes) from the same pass
 
 
 def select_feature_layer(model: ModelSpec, dataset: LabeledImageSet) -> FeatureLayerChoice:
     """Pick the candidate vector layer whose first three principal
     components explain the most cumulative variance (ties keep network
-    order). One inference pass captures every candidate."""
-    _, captured = predict_layers(model, dataset.images, model.feature_candidates)
+    order). One inference pass captures every candidate; the choice keeps
+    that pass's probabilities and the chosen layer's features."""
+    probs, captured = predict_layers(model, dataset.images, model.feature_candidates)
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     best_name = None
     best_score = -1.0
@@ -236,7 +239,8 @@ def select_feature_layer(model: ModelSpec, dataset: LabeledImageSet) -> FeatureL
             best_name = name
         elif score == best_score:
             tie = True
-    return FeatureLayerChoice(layer=best_name, curves=curves, tie=tie)
+    return FeatureLayerChoice(layer=best_name, curves=curves, tie=tie,
+                              features=captured[best_name], probs=probs)
 
 
 def write_variance_curve(ratios, cumulative, path) -> None:

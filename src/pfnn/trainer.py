@@ -88,9 +88,13 @@ def stratified_split(
 ) -> tuple[LabeledImageSet, LabeledImageSet]:
     """Partition so the second split holds round(fraction * count) of each
     class (half-up rounding). Both splits are shuffled by the seed."""
+    first, second = _stratified_indices(dataset.labels, fraction, seed)
+    return dataset.subset(first, names[0]), dataset.subset(second, names[1])
+
+
+def _stratified_indices(labels: np.ndarray, fraction: float, seed: int):
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"split fraction must be in (0,1), got {fraction}")
-    labels = dataset.labels
     rng = np.random.default_rng(seed)
     first_idx: list[int] = []
     second_idx: list[int] = []
@@ -104,7 +108,7 @@ def stratified_split(
         first_idx.extend(class_idx[k:].tolist())
     first = rng.permutation(np.asarray(first_idx, dtype=np.intp))
     second = rng.permutation(np.asarray(second_idx, dtype=np.intp))
-    return dataset.subset(first, names[0]), dataset.subset(second, names[1])
+    return first, second
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +285,17 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
     The validation loss is the same objective as training (CE plus the
     weighted feature-smoothing term on the model's penultimate features)
     computed on the whole validation split at once. The splits' pixels
-    stay float32; each batch and inference block is cast on its own.
+    stay float32; each batch and inference block is cast on its own. Until
+    ``fit`` returns, the splits are index arrays into ``data``, not copies.
     """
     if len(data) == 0:
         raise ValueError("fit: dataset is empty")
     source = model.feature_layer
-    train_set, val_set = stratified_split(data, config.val_fraction, config.seed)
-    if len(val_set) == 0:
+    train_idx, val_idx = _stratified_indices(data.labels, config.val_fraction, config.seed)
+    if val_idx.size == 0:
         raise ValueError("fit: validation split is empty; increase val_fraction")
-    y_train = train_set.labels.astype(np.intp)
-    y_val = val_set.labels.astype(np.intp)
+    y_train = data.labels[train_idx].astype(np.intp)
+    y_val = data.labels[val_idx].astype(np.intp)
 
     rng = np.random.default_rng([config.seed, 1])
     adam = AdamState()
@@ -303,10 +308,11 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
     best_epoch = 0
     best_state = model.state_arrays()
     stopped_early = False
-    n = len(train_set)
+    n = train_idx.size
 
     def run_so_far() -> TrainRun:
-        return TrainRun(history, best_epoch, best_state, stopped_early, train_set, val_set)
+        return TrainRun(history, best_epoch, best_state, stopped_early,
+                        data.subset(train_idx, "train"), data.subset(val_idx, "val"))
 
     try:
         for epoch in range(1, config.max_epochs + 1):
@@ -315,7 +321,7 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
             running_correct = 0
             for start in range(0, n, config.batch_size):
                 idx = perm[start:start + config.batch_size]
-                result = model.forward(Tensor(train_set.images[idx]), training=True, rng=rng)
+                result = model.forward(Tensor(data.images[train_idx[idx]]), training=True, rng=rng)
                 loss = total_loss(result.probs, y_train[idx],
                                   result.captures[source], config.lambda_fs)
                 loss_value = float(loss.data)
@@ -327,7 +333,7 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
                 running_loss += loss_value * idx.size
                 running_correct += int((result.probs.data.argmax(axis=1) == y_train[idx]).sum())
 
-            val_loss, val_acc = _eval_split(model, val_set.images, y_val, config.lambda_fs, source)
+            val_loss, val_acc = _eval_split(model, data.images[val_idx], y_val, config.lambda_fs, source)
             history.append(EpochRecord(epoch, running_loss / n, running_correct / n,
                                        val_loss, val_acc, lr))
             if not math.isfinite(val_loss):

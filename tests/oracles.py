@@ -175,3 +175,46 @@ def pca_eigh(features: np.ndarray, k: int):
     eigvals = np.maximum(eigvals[order], 0.0)
     ratios = eigvals / np.trace(cov)
     return eigvals[:k], ratios[:k], vecs[:, order][:, :k]
+
+
+def flip_h(img: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(img[:, ::-1])
+
+
+def flip_v(img: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(img[::-1])
+
+
+def rot90k(img: np.ndarray, k: int) -> np.ndarray:
+    return np.ascontiguousarray(np.rot90(img, k % 4, axes=(0, 1)))
+
+
+def shift_clamped(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
+    """Integer shift with edge clamping (pixels pulled from the nearest edge)."""
+    h, w = img.shape[:2]
+    ys = np.clip(np.arange(h) - dy, 0, h - 1)
+    xs = np.clip(np.arange(w) - dx, 0, w - 1)
+    return np.ascontiguousarray(img[np.ix_(ys, xs)])
+
+
+def augment_by_image(images: np.ndarray, labels: np.ndarray, target_class: int,
+                     needed: int, seed: int, max_shift: int = 3) -> np.ndarray:
+    """The ``needed`` augmented copies, one image at a time: per copy draw
+    the source, the flip (none, horizontal, vertical), the quarter turns,
+    then the shift (dy, dx), and apply them in that order."""
+    rng = np.random.default_rng(seed)
+    source_idx = np.flatnonzero(labels == target_class)
+    copies = []
+    for _ in range(needed):
+        img = images[rng.choice(source_idx)]
+        flip = int(rng.integers(0, 3))
+        if flip == 1:
+            img = flip_h(img)
+        elif flip == 2:
+            img = flip_v(img)
+        img = rot90k(img, int(rng.integers(0, 4)))
+        dy, dx = (int(v) for v in rng.integers(-max_shift, max_shift + 1, 2))
+        if dy or dx:
+            img = shift_clamped(img, dy, dx)
+        copies.append(img)
+    return np.stack(copies)

@@ -1,5 +1,6 @@
 """Tensor op forwards, reverse-mode gradients, and the checkpoint format."""
 
+import struct
 import zlib
 
 import numpy as np
@@ -463,6 +464,18 @@ class TestCheckpointFormat:
         save_checkpoint(extra, {"out/bias": np.full(3, 7.0)})
         path.write_bytes(path.read_bytes() + extra.read_bytes()[len(b"PFNN1"):])
         with pytest.raises(CheckpointError, match=r"twice\.pfnn.*'out/bias'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("extents", [(2**32 - 1, 2**32 - 1), (2**31, 2**31, 4)],
+                             ids=["two-max-u32", "count-wraps-to-zero"])
+    def test_huge_extents_rejected(self, tmp_path, extents):
+        # the element count overflows int64; it must be checked against the
+        # bytes left, not wrap around into a reshape error
+        path = tmp_path / "huge.pfnn"
+        name = b"conv1/kernel"
+        path.write_bytes(b"PFNN1" + struct.pack("<H", len(name)) + name
+                         + struct.pack(f"<B{len(extents)}I", len(extents), *extents) + bytes(64))
+        with pytest.raises(CheckpointError, match=r"huge\.pfnn.*'conv1/kernel'"):
             load_checkpoint(path)
 
     def test_every_truncation_is_a_checkpoint_error_or_shorter(self, tmp_path):

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -317,6 +318,20 @@ class TestEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "'out/bias'" in err[0]
 
+    def test_huge_tensor_extents_are_one_error_line(self, mini, tmp_path, capsys):
+        _, run = mini
+        huge = tmp_path / "huge"
+        shutil.copytree(run, huge)
+        name = b"conv1/kernel"
+        (huge / "checkpoint.pfnn").write_bytes(
+            b"PFNN1" + struct.pack("<H", len(name)) + name
+            + struct.pack("<B3I", 3, 2**31, 2**31, 4) + bytes(64))
+        capsys.readouterr()
+        assert main(["eval", "--run", str(huge)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "checkpoint.pfnn" in err[0] and "'conv1/kernel'" in err[0]
+
     def test_missing_split_is_an_error(self, mini):
         _, run = mini
         assert main(["eval", "--run", str(run), "--split", "data"]) == 1
@@ -354,7 +369,7 @@ class TestPcaCommand:
         _, run = mini
         assert main(["pca", "--run", str(run), "--layer", "not_a_layer"]) == 1
 
-    def test_auto_layer_takes_at_most_two_passes(self, mini, tmp_path, monkeypatch):
+    def test_auto_layer_takes_one_pass(self, mini, tmp_path, monkeypatch):
         _, run = mini
         images_forwarded = []
         forward = ModelSpec.forward
@@ -365,7 +380,7 @@ class TestPcaCommand:
 
         monkeypatch.setattr(ModelSpec, "forward", counted)
         assert main(["pca", "--run", str(run), "--layer", "auto", "--out", str(tmp_path)]) == 0
-        assert sum(images_forwarded) == 2 * len(read_dataset(run / "test.mids"))
+        assert sum(images_forwarded) == len(read_dataset(run / "test.mids"))
 
 
 class TestEmptySplit:

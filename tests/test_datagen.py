@@ -12,16 +12,14 @@ from pfnn.datagen import (
     LabeledImageSet,
     augment_to_share,
     class_distribution,
-    flip_h,
-    flip_v,
     generate,
     holdout_extract,
     read_dataset,
-    rot90k,
-    shift_clamped,
     write_dataset,
 )
 from pfnn.imaging import bilinear_resize
+
+from oracles import augment_by_image, flip_h, flip_v, rot90k, shift_clamped
 
 
 def data_digest(data: LabeledImageSet) -> str:
@@ -169,6 +167,10 @@ class TestClassDistribution:
 
 
 class TestTransforms:
+    """The reference transforms that ``augment_by_image`` composes; the
+    byte comparison in ``TestAugmentToShare`` carries their properties over
+    to ``augment_to_share``."""
+
     def test_flip_and_rotation_preserve_pixel_multiset(self):
         rng = np.random.default_rng(5)
         img = rng.uniform(0, 1, (9, 9, 1)).astype(np.float32)
@@ -184,7 +186,41 @@ class TestTransforms:
         np.testing.assert_array_equal(shifted[2], img[1])
 
 
+# sha256 of images then labels of augment_to_share(generate(spec), class,
+# share, seed), pinned from the one-copy-at-a-time implementation
+AUGMENT_GOLDEN = {
+    "side32-normal-0.331": (
+        GenSpec((152, 820, 1028), side=32, seed=0), 0, 0.331, 7,
+        "2234bd515a085e6d747ec96a63b77fc5a774b3332a7febeec29f8c5d74134a21"),
+    "side24-malignant-0.55": (
+        GenSpec((40, 110, 140), side=24, seed=3), 2, 0.55, 11,
+        "f47335f469b0176dc2f40b3abf84abd853cab92bdc10592e4d3965831f356d3b"),
+    "side8-many-copies": (
+        GenSpec((4, 60, 60), side=8, seed=5), 0, 0.6, 13,
+        "f5765a1ecdb8f3aa398b72c6e7c78726d4aa6a5a25d644b7e86690c54c8a6ac0"),
+}
+
+
 class TestAugmentToShare:
+    @pytest.mark.parametrize("spec,target,share,seed,digest", AUGMENT_GOLDEN.values(),
+                             ids=AUGMENT_GOLDEN)
+    def test_golden_digest(self, spec, target, share, seed, digest):
+        assert data_digest(augment_to_share(generate(spec), target, share, seed=seed)) == digest
+
+    def test_matches_per_image_reference(self):
+        rng = np.random.default_rng(31)  # 3 datasets x 20 cases
+        for side, counts in ((8, (9, 14, 20)), (11, (3, 25, 12)), (16, (20, 6, 30))):
+            data = generate(GenSpec(counts, side=side, seed=side))
+            for _ in range(20):
+                target = int(rng.integers(0, 3))
+                current = counts[target] / sum(counts)
+                share = float(rng.uniform(current + 1e-6, min(0.95, current + 0.6)))
+                seed = int(rng.integers(0, 2**31))
+                out = augment_to_share(data, target, share, seed=seed)
+                needed = len(out) - len(data)
+                expected = augment_by_image(data.images, data.labels, target, needed, seed)
+                assert out.images[len(data):].tobytes() == expected.tobytes()
+
     def test_reaches_target_band(self):
         data = generate(GenSpec(counts=(152, 820, 1028), side=8, seed=7))
         out = augment_to_share(data, target_class=0, target_share=0.331, seed=7)
@@ -225,6 +261,12 @@ class TestAugmentToShare:
         data = generate(GenSpec(counts=(10, 10, 10), side=8, seed=6))
         with pytest.raises(ValueError, match="share"):
             augment_to_share(data, 0, 0.2, seed=1)
+
+    def test_non_square_images_rejected(self):
+        labels = np.repeat([0, 1, 2], [4, 10, 10]).astype(np.uint8)
+        data = LabeledImageSet(np.zeros((len(labels), 8, 10, 1)), labels)
+        with pytest.raises(ValueError, match="H=8.*W=10"):
+            augment_to_share(data, 0, 0.5, seed=0)
 
 
 class TestHoldoutExtract:

@@ -315,10 +315,12 @@ class TestSelectFeatureLayer:
         data = generate(GenSpec(counts=(20, 25, 30), side=16, seed=12))
         model = build_model(ModelConfig(conv_widths=(3, 4), head_units=8, seed=5))
         expected = {}
+        passes = {}
         for name in model.feature_candidates:
-            _, feats = predict(model, data.images, feature_layer=name)
+            probs, feats = predict(model, data.images, feature_layer=name)
             result = pca(feats, 3, layer=name)
             expected[name] = (result.ratios, np.cumsum(result.ratios))
+            passes[name] = (probs, feats)
         images_forwarded = []
         forward = ModelSpec.forward
 
@@ -333,3 +335,6 @@ class TestSelectFeatureLayer:
         for name, (ratios, cumulative) in expected.items():
             assert np.array_equal(choice.curves[name][0], ratios)
             assert np.array_equal(choice.curves[name][1], cumulative)
+        probs, feats = passes[choice.layer]
+        assert choice.probs.tobytes() == probs.tobytes()
+        assert choice.features.tobytes() == feats.tobytes()

@@ -265,11 +265,13 @@ class TestFit:
 
     def test_peak_memory_holds_no_float64_copy_of_the_splits(self):
         # the pixels stay float32 and each batch is cast on its own; float64
-        # copies of both splits alone would be twice the float32 payload
+        # copies of both splits alone would be twice the float32 payload. The
+        # float32 split copies (1x together) are made only when fit returns,
+        # so they do not add to training's peak (3.6x when held throughout).
         data = toy_set((500, 700, 800), side=16)
         model = build_model(ModelConfig(conv_widths=(4, 8), head_units=16, seed=0))
         peak = traced_peak(lambda: fit(model, data, TrainConfig(max_epochs=1, batch_size=8, seed=0)))
-        assert peak < 4.5 * data.images.nbytes
+        assert peak < 3.2 * data.images.nbytes
 
     def test_train_step_peak_memory_at_acceptance_shape(self):
         # one bs-16 forward and backward; batchnorm keeps no normalized copy
