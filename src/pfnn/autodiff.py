@@ -339,17 +339,19 @@ def dropout(x, rate: float, rng: np.random.Generator | None = None, training: bo
     return _make(x.data * scaled_mask, "dropout", (x,), lambda g: (g * scaled_mask,))
 
 
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
+
 class BatchNormState:
     """Per-channel running statistics for one batchnorm layer."""
 
-    def __init__(self, channels: int, momentum: float = 0.9, eps: float = 1e-5):
+    def __init__(self, channels: int):
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
 
     def update(self, batch_mean: np.ndarray, batch_var: np.ndarray):
-        m = self.momentum
+        m = BN_MOMENTUM
         self.running_mean = m * self.running_mean + (1.0 - m) * batch_mean
         self.running_var = m * self.running_var + (1.0 - m) * batch_var
 
@@ -379,13 +381,13 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False) ->
         out = x.data - mu
         var = _sum_leading(out * out, lead) / count
         state.update(mu, var)
-        inv_std = 1.0 / np.sqrt(var + state.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         out *= inv_std
         out *= gamma.data
         out += beta.data
     else:  # one affine pass with the running statistics as constants
         mu = state.running_mean
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         out = x.data * (gamma.data * inv_std)
         out += beta.data - mu * (gamma.data * inv_std)
 

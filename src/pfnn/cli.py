@@ -92,19 +92,18 @@ def _class_index(name: str, class_names) -> int:
 
 def cmd_gen_data(args) -> int:
     counts = tuple(int(c) for c in args.counts.split(","))
-    seed = args.seed if args.seed is not None else 0
-    spec = GenSpec(counts=counts, side=args.side, noise_level=args.noise, seed=seed)
+    spec = GenSpec(counts=counts, side=args.side, noise_level=args.noise, seed=args.seed)
     data = generate(spec)
     if args.augment:
         class_name, _, share = args.augment.partition(":")
         if not share:
             raise ValueError(f"--augment expects CLASS:SHARE, got {args.augment!r}")
         target = _class_index(class_name, data.class_names)
-        data = augment_to_share(data, target, float(share), seed=seed)
+        data = augment_to_share(data, target, float(share), seed=args.seed)
     if args.holdout:
         if not args.holdout_out:
             raise ValueError("--holdout requires --holdout-out")
-        blind, data = holdout_extract(data, args.holdout, seed=seed)
+        blind, data = holdout_extract(data, args.holdout, seed=args.seed)
         write_dataset(args.holdout_out, blind)
     write_dataset(args.out, data)
     cnts, shares = class_distribution(data)
@@ -121,15 +120,18 @@ def cmd_gen_data(args) -> int:
 
 
 def _merge_config(args) -> ExperimentConfig:
-    mapping: dict[str, str] = {}
-    if args.config:
-        mapping.update(read_kv_file(args.config))
-    # a train flag overrides the config key its argparse dest is named after
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = str(value)
+    mapping = read_kv_file(args.config) if args.config else {}
+    # each config key's flag keeps its text, so a flag and a file line decode alike
+    mapping.update((key, getattr(args, key)) for key in CONFIG_KEYS if getattr(args, key) is not None)
     return experiment_from_mapping(mapping)
+
+
+def _read_for_model(path, classes: int) -> LabeledImageSet:
+    """The dataset at ``path``; its class table must match the model's."""
+    dataset = read_dataset(path)
+    if len(dataset.class_names) != classes:
+        raise ValueError(f"{path}: dataset has {len(dataset.class_names)} classes, model expects {classes}")
+    return dataset
 
 
 # What `pfnn train` writes into a run directory, and what eval, pca and
@@ -145,11 +147,7 @@ _RUN_OUTPUTS = (
 
 def cmd_train(args) -> int:
     exp = _merge_config(args)
-    data = read_dataset(args.data)
-    if len(data.class_names) != exp.model.classes:
-        raise ValueError(
-            f"dataset has {len(data.class_names)} classes but the model is configured for {exp.model.classes}"
-        )
+    data = _read_for_model(args.data, exp.model.classes)
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
     # a rerun into a used directory must not keep the last run's results or hashes
@@ -221,11 +219,11 @@ def _load_run(run_dir: Path):
     return exp, model
 
 
-def _load_split(run_dir: Path, split: str, override: str | None) -> LabeledImageSet:
+def _load_split(run_dir: Path, split: str, override: str | None, classes: int) -> LabeledImageSet:
     path = Path(override) if override else run_dir / f"{split}.mids"
     if not override and not path.exists():
         raise ValueError(f"no {path.name} in {run_dir}; pass --data FILE or train with that split")
-    dataset = read_dataset(path)
+    dataset = _read_for_model(path, classes)
     if len(dataset) == 0:
         raise ValueError(f"{path}: dataset holds no images")
     return dataset
@@ -241,13 +239,13 @@ def cmd_eval(args) -> int:
     splits = args.split or ["test"]
     reports = {}
     for split in splits:
-        dataset = _load_split(run_dir, split, args.data if split == "data" else None)
-        if len(dataset.class_names) != exp.model.classes:
-            raise ValueError(
-                f"split {split!r} has {len(dataset.class_names)} classes, model expects {exp.model.classes}"
-            )
+        dataset = _load_split(run_dir, split, args.data if split == "data" else None, exp.model.classes)
         labels = dataset.labels.astype(np.intp)
-        probs, _ = predict(model, dataset.images)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below as one error line
+            probs, _ = predict(model, dataset.images)
+        if not np.isfinite(probs).all():
+            raise ValueError(f"{run_dir / 'checkpoint.pfnn'}: the model's outputs on split "
+                             f"{split!r} are not finite")
         loss = float(cross_entropy(Tensor(probs), labels).data)
         reports[split] = build_report(model_name, split, labels, probs.argmax(axis=1),
                                       probs, loss, dataset.class_names)
@@ -285,7 +283,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcam(args) -> int:
     run_dir = Path(args.run)
     exp, model = _load_run(run_dir)
-    dataset = _load_split(run_dir, args.split, args.data)
+    dataset = _load_split(run_dir, args.split, args.data, exp.model.classes)
     target = _class_index(args.target_class, dataset.class_names)
     out_dir = Path(args.out) if args.out else run_dir / "gradcam"
     gallery = cam_case_gallery(model, dataset, args.correct, args.wrong, out_dir, target)
@@ -296,7 +294,7 @@ def cmd_gradcam(args) -> int:
 def cmd_pca(args) -> int:
     run_dir = Path(args.run)
     exp, model = _load_run(run_dir)
-    dataset = _load_split(run_dir, args.split, args.data)
+    dataset = _load_split(run_dir, args.split, args.data, exp.model.classes)
     out_dir = Path(args.out) if args.out else run_dir / "pca"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -340,7 +338,7 @@ def cmd_report(args) -> int:
         if not path.exists():
             raise ValueError(f"{path} missing; run `pfnn eval --run {run}` first")
         reports.append(parse_report(path))
-    out_dir = Path(args.out) if args.out else Path("comparison")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_table1(reports, out_dir / "table1.csv")
     write_table2(reports, out_dir / "table2.csv")
@@ -360,54 +358,42 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pfnn",
         description="Synthetic imbalanced-image experiments: data generation, training "
         "with pooling-fusion/channel-gate ablations, evaluation, and interpretability.",
-        epilog="Flag values override config-file keys; config-file keys override defaults.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file")
-    common.add_argument("--seed", type=int, help="run seed (overrides config)")
-    common.add_argument("--out", help="output file or directory")
-
-    p = sub.add_parser("gen-data", parents=[common], help="generate a synthetic MIDS1 dataset")
+    p = sub.add_parser("gen-data", help="generate a synthetic MIDS1 dataset")
     p.add_argument("--counts", required=True, help="per-class counts, e.g. 152,820,1028")
     p.add_argument("--side", type=int, default=32, help="image side length (default 32)")
     p.add_argument("--noise", type=float, default=0.05, help="pixel noise level (default 0.05)")
+    p.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
     p.add_argument("--augment", metavar="CLASS:SHARE",
                    help="augment CLASS up to SHARE of the dataset, e.g. normal:0.331")
     p.add_argument("--holdout", type=int, help="extract N blind images before writing")
     p.add_argument("--holdout-out", help="where to write the blind holdout")
-    p.set_defaults(func=cmd_gen_data, seed=None)
+    p.add_argument("--out", required=True, help="MIDS1 file to write")
+    p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", parents=[common], help="train a model into a run directory")
+    p = sub.add_parser("train", help="train a model into a run directory",
+                       epilog="Each config key is a flag: '_' becomes '-' and 'enable_' is dropped. "
+                       "Flag values override --config keys; config keys override defaults.")
     p.add_argument("--data", required=True, help="MIDS1 dataset file")
-    p.add_argument("--conv-widths", dest="conv_widths", help="backbone widths, e.g. 8,16")
-    p.add_argument("--kernel", type=int)
-    p.add_argument("--head-units", dest="head_units", type=int)
-    p.add_argument("--dropout-rate", dest="dropout_rate", type=float)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--gagm", dest="enable_gagm", choices=["on", "off"],
-                   help="dual-pooling fusion ablation switch")
-    p.add_argument("--sevector", dest="enable_sevector", choices=["on", "off"],
-                   help="channel-gate ablation switch")
-    p.add_argument("--reduction-ratio", dest="reduction_ratio", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--lambda-fs", dest="lambda_fs", type=float)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
+    p.add_argument("--out", required=True, help="run directory")
+    p.add_argument("--config", help="key=value config file, e.g. a run's config.snapshot")
+    for key, default in experiment_to_mapping(experiment_from_mapping({})).items():
+        p.add_argument("--" + key.removeprefix("enable_").replace("_", "-"), dest=key,
+                       metavar="VALUE", help=f"config key {key} (default {default})")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a run on stored splits")
+    p = sub.add_parser("eval", help="evaluate a run on stored splits")
     p.add_argument("--run", required=True, help="run directory from `pfnn train`")
     p.add_argument("--split", action="append", choices=["train", "val", "test", "data"],
                    help="split(s) to evaluate (repeatable; default test)")
     p.add_argument("--data", help="external MIDS1 file for --split data")
     p.add_argument("--model-name", dest="model_name", help="row label for tables")
+    p.add_argument("--out", help="output directory (default RUN/eval)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gradcam", parents=[common], help="emit CAM overlays for picked cases")
+    p = sub.add_parser("gradcam", help="emit CAM overlays for picked cases")
     p.add_argument("--run", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--data", help="external MIDS1 file instead of a stored split")
@@ -415,20 +401,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="class name or index to explain (default malignant)")
     p.add_argument("--correct", type=int, default=3, help="high-confidence correct cases")
     p.add_argument("--wrong", type=int, default=3, help="misclassified cases")
+    p.add_argument("--out", help="output directory (default RUN/gradcam)")
     p.set_defaults(func=cmd_gradcam)
 
-    p = sub.add_parser("pca", parents=[common], help="project a feature layer")
+    p = sub.add_parser("pca", help="project a feature layer")
     p.add_argument("--run", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--data", help="external MIDS1 file instead of a stored split")
     p.add_argument("--layer", default="auto", help="feature layer name or 'auto'")
     p.add_argument("--components", type=int, default=3)
+    p.add_argument("--out", help="output directory (default RUN/pca)")
     p.set_defaults(func=cmd_pca)
 
-    p = sub.add_parser("report", parents=[common], help="cross-model comparison tables")
+    p = sub.add_parser("report", help="cross-model comparison tables")
     p.add_argument("--compare", nargs="+", required=True, metavar="RUN",
                    help="run directories (evaluated already)")
     p.add_argument("--split", default="test")
+    p.add_argument("--out", default="comparison", help="output directory (default comparison)")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -1,5 +1,7 @@
-"""Flat key=value experiment configuration shared by the CLI and run
-snapshots. Unknown keys are errors so a stale snapshot fails loudly.
+"""Flat key=value experiment configuration: the one schema for training
+settings, read from config files and run snapshots, and from the
+``pfnn train`` flags, which the CLI generates one per key. Unknown keys
+are errors so a stale snapshot fails loudly.
 
 The keys, their order and their text encoding all derive from the
 fields of ``ModelConfig``, ``TrainConfig`` and ``ExperimentConfig``:
@@ -104,14 +106,20 @@ def _decode(hint, text: str):
 
 
 def experiment_from_mapping(mapping: Mapping[str, str]) -> ExperimentConfig:
-    """Decode string settings; keys left out keep their dataclass defaults."""
+    """Decode string settings; keys left out keep their dataclass defaults.
+
+    A value that does not decode is a ``ConfigError`` naming its key.
+    """
     unknown = sorted(set(mapping) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     values: dict[str | None, dict] = {outer: {} for outer, _, _ in _FIELDS}
     for outer, key, hint in _FIELDS:
         if key in mapping:
-            values[outer][key] = _decode(hint, mapping[key])
+            try:
+                values[outer][key] = _decode(hint, mapping[key])
+            except ValueError as exc:
+                raise ConfigError(f"config key {key}: {exc}") from None
     model = ModelConfig(**values["model"])
     train = TrainConfig(seed=model.seed, **values["train"])
     return ExperimentConfig(model=model, train=train, **values[None])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -213,9 +214,26 @@ def _from_fields(cls, data, where: str):
                   for f in fields(cls)})
 
 
+# what the tables need in each report field, by its annotation
+_NUMBER_FIELDS = {"float": "a number", "float | None": "a number or null"}
+
+
+def _is_number(value) -> bool:
+    """A JSON number that ``float()`` takes: not a bool, and no integer beyond float range."""
+    if isinstance(value, float):
+        return True
+    return isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
 def report_from_dict(data: dict) -> EvalReport:
-    """Decode ``report_to_dict`` output; a non-object or a missing field is a ``ValueError``."""
+    """Decode ``report_to_dict`` output. A non-object, a missing field, or a
+    metric that is not a number (or null for the ``overfit_*`` fields) is a
+    ``ValueError`` naming the field."""
     report = _from_fields(EvalReport, data, "report")
+    for f in fields(EvalReport):
+        value = getattr(report, f.name)
+        if f.type in _NUMBER_FIELDS and not (_is_number(value) or (value is None and f.type != "float")):
+            raise ValueError(f"report field {f.name!r} must be {_NUMBER_FIELDS[f.type]}, got {value!r:.40}")
     if not isinstance(report.roc, dict):
         raise ValueError(f"report field 'roc' must be a JSON object, got {type(report.roc).__name__}")
     report.roc = {name: None if curve is None else _from_fields(RocCurve, curve, f"roc curve {name!r}")
@@ -228,9 +246,8 @@ def write_report(report: EvalReport, path) -> None:
 
 
 def parse_report(path) -> EvalReport:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return report_from_dict(json.loads(text))
+        return report_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

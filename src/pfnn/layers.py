@@ -197,20 +197,28 @@ class ModelSpec:
         return out
 
     def load_state(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Restore ``state_arrays`` output; the tensor names must match exactly."""
+        """Restore ``state_arrays`` output. The tensor names and shapes must
+        match exactly, every value must be finite, and no running variance
+        may be negative; otherwise nothing is restored."""
         stats = self._bn_stats()
-        expected = [*self.params, *(key for key, _, _ in stats)]
-        missing = [name for name in expected if name not in arrays]
+        shapes = {name: p.shape for name, p in self.params.items()}
+        shapes.update((key, getattr(state, attr).shape) for key, state, attr in stats)
+        missing = [name for name in shapes if name not in arrays]
         if missing:
             raise CheckpointError(f"checkpoint is missing tensor(s) {', '.join(map(repr, missing))}")
-        unexpected = sorted(set(arrays) - set(expected))
+        unexpected = sorted(set(arrays) - set(shapes))
         if unexpected:
             raise CheckpointError(f"checkpoint has unexpected tensor(s) {', '.join(map(repr, unexpected))}")
-        for name, p in self.params.items():
+        for name, shape in shapes.items():
             value = np.asarray(arrays[name], dtype=np.float64)
-            if value.shape != p.shape:
-                raise ShapeError(f"parameter {name!r}: checkpoint shape {value.shape} != model shape {p.shape}")
-            p.data = np.ascontiguousarray(value)
+            if value.shape != shape:
+                raise ShapeError(f"tensor {name!r}: checkpoint shape {value.shape} != model shape {shape}")
+            if not np.isfinite(value).all():
+                raise CheckpointError(f"checkpoint tensor {name!r} holds a non-finite value")
+            if name.endswith("/running_var") and (value < 0).any():
+                raise CheckpointError(f"checkpoint tensor {name!r} holds a negative variance")
+        for name, p in self.params.items():
+            p.data = np.ascontiguousarray(arrays[name], dtype=np.float64)
         for key, state, attr in stats:
             setattr(state, attr, np.asarray(arrays[key], dtype=np.float64).copy())
 

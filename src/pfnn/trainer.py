@@ -115,11 +115,13 @@ def _stratified_indices(labels: np.ndarray, fraction: float, seed: int):
 # optimizer
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -128,8 +130,8 @@ class AdamState:
 def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float) -> None:
     """One Adam update over all parameters (bias-corrected moments)."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.all(np.isfinite(g)):
@@ -138,10 +140,10 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float) -> None
         if m is None:
             m = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
         state.m[name], state.v[name] = m, v
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from oracles import conv2d_direct, fd_gradient, rel_err
 
 from pfnn.autodiff import (
+    BN_EPS,
     BatchNormState,
     ShapeError,
     Tensor,
@@ -352,7 +353,7 @@ class TestBatchNorm:
             mean, var = x.mean(axis=(0, 1, 2)), x.var(axis=(0, 1, 2))
         else:
             mean, var = state.running_mean, state.running_var
-        expected = (x - mean) / np.sqrt(var + state.eps) * gamma + beta
+        expected = (x - mean) / np.sqrt(var + BN_EPS) * gamma + beta
         out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state, training=training)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
@@ -363,7 +364,7 @@ class TestBatchNorm:
         state.running_mean, state.running_var = np.array([50.0, -80.0, 0.2]), rng.uniform(0.5, 2, 3)
         x = state.running_mean + rng.uniform(-3, 3, (4, 5, 5, 3))
         gamma, beta = rng.uniform(0.5, 1.5, 3), rng.uniform(-0.5, 0.5, 3)
-        expected = (x - state.running_mean) / np.sqrt(state.running_var + state.eps) * gamma + beta
+        expected = (x - state.running_mean) / np.sqrt(state.running_var + BN_EPS) * gamma + beta
         out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state, training=False)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 

@@ -2,8 +2,10 @@
 
 import csv
 import hashlib
+import json
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +67,13 @@ class TestGenData:
         assert "normal: 152 (7.6%)" in printed
         assert "benign: 820 (41.0%)" in printed
         assert "malignant: 1028 (51.4%)" in printed
+
+    def test_missing_out_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--counts", "3,3,3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pfnn gen-data") and "required: --out" in err
 
     def test_empty_counts_error_exit(self, tmp_path):
         assert main(["gen-data", "--counts", "0,0,0", "--out", str(tmp_path / "x.mids")]) == 1
@@ -332,6 +341,26 @@ class TestEval:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "checkpoint.pfnn" in err[0] and "'conv1/kernel'" in err[0]
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("head/bias", np.nan, "'head/bias' holds a non-finite value"),
+        ("bn1/running_var", -1.0, "'bn1/running_var' holds a negative variance"),
+        ("bn1/running_mean", None, "'bn1/running_mean': checkpoint shape (1,)"),
+        ("conv1/kernel", 1e308, "split 'test' are not finite"),  # finite, but overflows
+    ], ids=["nan", "negative-variance", "stat-shape", "overflow"])
+    def test_bad_checkpoint_values_are_one_error_line(self, mini, tmp_path, capsys, name, value, message):
+        _, run = mini
+        bad = tmp_path / "bad"
+        shutil.copytree(run, bad)
+        state = load_checkpoint(bad / "checkpoint.pfnn")
+        state[name] = np.zeros(1) if value is None else np.full_like(state[name], value)
+        save_checkpoint(bad / "checkpoint.pfnn", state)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be one more line on stderr
+            assert main(["eval", "--run", str(bad), "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
     def test_missing_split_is_an_error(self, mini):
         _, run = mini
         assert main(["eval", "--run", str(run), "--split", "data"]) == 1
@@ -416,6 +445,45 @@ class TestEmptySplit:
         assert len(err) == 1 and "badlabel.mids" in err[0] and "label out of range" in err[0]
 
 
+class TestClassTable:
+    @pytest.fixture(params=[2, 4], ids=["2-class", "4-class"])
+    def other_table(self, mini, tmp_path, request):
+        data, _ = mini
+        dataset = read_dataset(data)
+        names = ("normal", "benign", "malignant", "other")[:request.param]
+        path = tmp_path / f"classes{request.param}.mids"
+        write_dataset(path, LabeledImageSet(dataset.images, dataset.labels % request.param, names))
+        return path
+
+    @pytest.mark.parametrize("command", ["train", "eval", "pca", "gradcam"])
+    def test_is_one_error_line_naming_the_file(self, mini, other_table, tmp_path, capsys, command):
+        _, run = mini
+        argv = [command, "--data", str(other_table), "--out", str(tmp_path / "out")]
+        if command != "train":
+            argv += ["--run", str(run), *(["--split", "data"] if command == "eval" else [])]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert other_table.name in err[0] and "classes" in err[0]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command,flag", [
+        *((c, f) for c in ("eval", "pca", "gradcam", "report") for f in ("--seed", "--config")),
+        ("gen-data", "--config"),
+    ])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, mini, tmp_path, capsys,
+                                                            command, flag):
+        _, run = mini
+        argv = {"report": ["--compare", str(run)],
+                "gen-data": ["--counts", "3,3,3"]}.get(command, ["--run", str(run)])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, "--out", str(tmp_path / "out"), flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 class TestReportCommand:
     def test_compare_two_runs(self, mini, tmp_path):
         data, run = mini
@@ -436,6 +504,24 @@ class TestReportCommand:
         fresh = tmp_path / "fresh"
         main(["train", "--data", str(data), "--out", str(fresh), "--seed", "9", *TRAIN_ARGS])
         assert main(["report", "--compare", str(fresh), "--out", str(tmp_path / "c")]) == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("accuracy", [1, 2]), ("loss", "0.5"), ("macro_f1", True), ("recall_min", None),
+        ("f1_std", 10**400), ("overfit_acc", {}),
+    ], ids=["list", "string", "bool", "null", "huge-int", "overfit-object"])
+    def test_non_numeric_metric_is_one_error_line(self, mini, tmp_path, capsys, field, value):
+        _, run = mini
+        assert main(["eval", "--run", str(run), "--out", str(tmp_path / "e")]) == 0
+        doc = json.loads((tmp_path / "e" / "report_test.json").read_text())
+        doc[field] = value
+        broken = tmp_path / "broken"
+        (broken / "eval").mkdir(parents=True)
+        (broken / "eval" / "report_test.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--compare", str(broken), "--out", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "report_test.json" in err[0] and repr(field) in err[0]
 
     @pytest.mark.parametrize("doc", ['{"model": "x"}', "[1, 2]"], ids=["missing-field", "list"])
     def test_malformed_report_is_one_error_line(self, tmp_path, capsys, doc):

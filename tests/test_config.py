@@ -1,5 +1,6 @@
 """Golden text of the key=value config codec and the run snapshot."""
 
+import numpy as np
 import pytest
 
 from pfnn.cli import main
@@ -12,6 +13,7 @@ from pfnn.config import (
     read_kv_file,
     write_kv_file,
 )
+from pfnn.datagen import CLASS_NAMES, GenSpec, LabeledImageSet, generate, write_dataset
 from pfnn.layers import ModelConfig
 from pfnn.trainer import TrainConfig
 
@@ -100,3 +102,46 @@ def test_unknown_key_and_bad_fraction_rejected(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("# comment\n\nkernel = 5  # trailing\n")
     assert experiment_from_mapping(read_kv_file(path)).model.kernel == 5
+
+
+def train_flag(key):
+    """The ``pfnn train`` flag of a config key."""
+    return "--" + key.removeprefix("enable_").replace("_", "-")
+
+
+# a value for every key that differs from its default; classes=4 needs a 4-class dataset
+KEY_VALUES = {**dict(line.split("=", 1) for line in ABLATION_SNAPSHOT.splitlines()), "classes": "4"}
+TINY = {"conv_widths": "2", "head_units": "4", "max_epochs": "1", "batch_size": "8", "classes": "4"}
+
+
+@pytest.fixture(scope="module")
+def four_class_data(tmp_path_factory):
+    path = tmp_path_factory.mktemp("four") / "d.mids"
+    images = generate(GenSpec((10, 10, 20), side=8, seed=2)).images
+    write_dataset(path, LabeledImageSet(images, np.arange(40) % 4, (*CLASS_NAMES, "other")))
+    return path
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_each_key_as_flag_gives_the_snapshot_of_the_key_in_a_file(four_class_data, tmp_path, key):
+    base = ["train", "--data", str(four_class_data)]
+    base += [arg for k, v in TINY.items() if k != key for arg in (train_flag(k), v)]
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key}={KEY_VALUES[key]}\n")
+    assert main([*base, "--out", str(tmp_path / "flag"), train_flag(key), KEY_VALUES[key]]) == 0
+    assert main([*base, "--out", str(tmp_path / "file"), "--config", str(cfg)]) == 0
+    snapshot = (tmp_path / "flag" / "config.snapshot").read_bytes()
+    assert snapshot == (tmp_path / "file" / "config.snapshot").read_bytes()
+    assert f"{key}={KEY_VALUES[key]}" in snapshot.decode().splitlines()
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_bad_value_is_one_error_line_naming_the_key(tmp_path, capsys, source):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("kernel=abc\n")
+    setting = ["--kernel", "abc"] if source == "flag" else ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(["train", "--data", str(tmp_path / "d.mids"), "--out", str(tmp_path / "r"),
+                 *setting]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "kernel" in err[0]

@@ -13,6 +13,7 @@ from pfnn.datagen import GenSpec, LabeledImageSet, generate
 from pfnn.layers import ModelConfig, build_model
 from pfnn.losses import total_loss
 from pfnn.trainer import (
+    ADAM_EPS,
     AdamState,
     Plateau,
     TrainConfig,
@@ -94,7 +95,7 @@ class TestAdam:
         state = AdamState()
         adam_step({"p": p}, state, lr=0.01)
         # bias-corrected m-hat = g, v-hat = g^2 at t=1
-        expected = -0.01 * g / (np.abs(g) + state.eps)
+        expected = -0.01 * g / (np.abs(g) + ADAM_EPS)
         np.testing.assert_allclose(p.data, expected, rtol=1e-12)
 
     def test_identical_runs_are_bit_identical(self):
