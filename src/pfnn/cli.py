@@ -56,9 +56,9 @@ from .interpret import (
     write_projections,
     write_variance_curve,
 )
-from .layers import build_model
+from .layers import ModelSpec, build_model
 from .losses import cross_entropy
-from .trainer import TrainingDiverged, fit, predict, stratified_split, write_history
+from .trainer import NonFiniteOutputs, TrainingDiverged, fit, predict, stratified_split, write_history
 
 
 def _sha256(path: Path) -> str:
@@ -206,127 +206,142 @@ def cmd_train(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# model loading shared by eval/gradcam/pca
+# eval, gradcam and pca: each reads a trained run and a stored split or a file
 
 
-def _load_run(run_dir: Path):
+class _Once(argparse.Action):
+    """Keep a flag's value as a one-item list; a second use is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest):
+            parser.error(f"argument {option_string}: may be given once")
+        setattr(namespace, self.dest, [values])
+
+
+def _add_run_command(sub, command: str, func, help: str, repeat_split: bool = False):
+    """A subcommand that reads a run and either stored splits (``--split``,
+    default test) or one external file (``--data``), never both."""
+    p = sub.add_parser(command, help=help)
+    p.add_argument("--run", required=True, help="run directory from `pfnn train`")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--split", choices=("train", "val", "test"),
+                        action="append" if repeat_split else _Once,
+                        help="stored split to read (default test)" + (", repeatable" if repeat_split else ""))
+    source.add_argument("--data", metavar="FILE", help="external MIDS1 file, read as split 'data'")
+    p.add_argument("--out", help=f"output directory (default RUN/{command})")
+    p.set_defaults(func=func)
+    return p
+
+
+def _open_run(args) -> tuple[ModelSpec, dict[str, LabeledImageSet], Path]:
+    """The run's model, the datasets to read by split name, and the output directory."""
+    run_dir = Path(args.run)
     snapshot = run_dir / "config.snapshot"
     if not snapshot.exists():
         raise ValueError(f"{run_dir} has no config.snapshot (not a run directory?)")
-    exp = experiment_from_mapping(read_kv_file(snapshot))
-    model = build_model(exp.model)
+    model = build_model(experiment_from_mapping(read_kv_file(snapshot)).model)
     model.load_state(load_checkpoint(run_dir / "checkpoint.pfnn"))
-    return exp, model
+    datasets = {}
+    for split in ["data"] if args.data else args.split or ["test"]:
+        path = Path(args.data) if args.data else run_dir / f"{split}.mids"
+        if not args.data and not path.exists():
+            raise ValueError(f"no {path.name} in {run_dir}; pass --data FILE or train with that split")
+        datasets[split] = _read_for_model(path, model.config.classes)
+        if len(datasets[split]) == 0:
+            raise ValueError(f"{path}: dataset holds no images")
+    out_dir = Path(args.out) if args.out else run_dir / args.command
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return model, datasets, out_dir
 
 
-def _load_split(run_dir: Path, split: str, override: str | None, classes: int) -> LabeledImageSet:
-    path = Path(override) if override else run_dir / f"{split}.mids"
-    if not override and not path.exists():
-        raise ValueError(f"no {path.name} in {run_dir}; pass --data FILE or train with that split")
-    dataset = _read_for_model(path, classes)
-    if len(dataset) == 0:
-        raise ValueError(f"{path}: dataset holds no images")
-    return dataset
+@contextlib.contextmanager
+def _finite_outputs_on(args, split: str):
+    """Name the checkpoint and the split when the model's outputs are not finite."""
+    try:
+        yield
+    except NonFiniteOutputs:
+        raise ValueError(f"{Path(args.run) / 'checkpoint.pfnn'}: the model's outputs on split "
+                         f"{split!r} are not finite") from None
+
+
+def _write_tables(reports, out_dir: Path) -> list[Path]:
+    """The cross-model comparison tables, one row per report."""
+    paths = [out_dir / "table1.csv", out_dir / "table2.csv", out_dir / "scatter_pairs.csv"]
+    for write, path in zip((write_table1, write_table2, write_scatter_pairs), paths):
+        write(reports, path)
+    return paths
 
 
 def cmd_eval(args) -> int:
-    run_dir = Path(args.run)
-    exp, model = _load_run(run_dir)
-    out_dir = Path(args.out) if args.out else run_dir / "eval"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model_name = args.model_name or run_dir.name
-
-    splits = args.split or ["test"]
+    model, datasets, out_dir = _open_run(args)
     reports = {}
-    for split in splits:
-        dataset = _load_split(run_dir, split, args.data if split == "data" else None, exp.model.classes)
+    for split, dataset in datasets.items():
         labels = dataset.labels.astype(np.intp)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below as one error line
+        with _finite_outputs_on(args, split):
             probs, _ = predict(model, dataset.images)
-        if not np.isfinite(probs).all():
-            raise ValueError(f"{run_dir / 'checkpoint.pfnn'}: the model's outputs on split "
-                             f"{split!r} are not finite")
         loss = float(cross_entropy(Tensor(probs), labels).data)
-        reports[split] = build_report(model_name, split, labels, probs.argmax(axis=1),
-                                      probs, loss, dataset.class_names)
-
-    if "train" in reports and "test" in reports:
-        oa, of, ol = overfit_deltas(reports["train"], reports["test"])
-        reports["test"].overfit_acc = oa
-        reports["test"].overfit_f1 = of
-        reports["test"].overfit_loss = ol
+        reports[split] = build_report(args.model_name or Path(args.run).name, split, labels,
+                                      probs.argmax(axis=1), probs, loss, dataset.class_names)
+    test = reports.get("test")
+    if test and "train" in reports:
+        test.overfit_acc, test.overfit_f1, test.overfit_loss = overfit_deltas(reports["train"], test)
 
     artifacts: list[Path] = []
     for split, report in reports.items():
-        path = out_dir / f"report_{split}.json"
-        write_report(report, path)
-        artifacts.append(path)
-        artifacts.extend(write_roc_csv(report, out_dir))
-    primary = reports.get("test") or reports[splits[0]]
-    write_table1([primary], out_dir / "table1.csv")
-    write_table2([primary], out_dir / "table2.csv")
-    write_scatter_pairs([primary], out_dir / "scatter_pairs.csv")
-    artifacts += [out_dir / "table1.csv", out_dir / "table2.csv", out_dir / "scatter_pairs.csv"]
+        write_report(report, out_dir / f"report_{split}.json")
+        artifacts += [out_dir / f"report_{split}.json", *write_roc_csv(report, out_dir)]
+    artifacts += _write_tables([test or next(iter(reports.values()))], out_dir)
 
     for split, report in reports.items():
         print(f"{split}: acc {report.accuracy:.4f}, loss {report.loss:.4f}, "
               f"macro F1 {report.macro_f1:.4f}, recall_min {report.recall_min:.4f}")
         aucs = {name: (f"{curve.auc:.4f}" if curve else "n/a") for name, curve in report.roc.items()}
         print(f"  auc: {aucs}")
-    if reports.get("test") and reports["test"].overfit_acc is not None:
-        r = reports["test"]
-        print(f"overfit: acc {r.overfit_acc:+.4f}, f1 {r.overfit_f1:+.4f}, loss {r.overfit_loss:+.4f}")
+    if test and test.overfit_acc is not None:
+        print(f"overfit: acc {test.overfit_acc:+.4f}, f1 {test.overfit_f1:+.4f}, "
+              f"loss {test.overfit_loss:+.4f}")
     print(f"wrote {len(artifacts)} files to {out_dir}")
     return 0
 
 
 def cmd_gradcam(args) -> int:
-    run_dir = Path(args.run)
-    exp, model = _load_run(run_dir)
-    dataset = _load_split(run_dir, args.split, args.data, exp.model.classes)
+    model, datasets, out_dir = _open_run(args)
+    [(split, dataset)] = datasets.items()
     target = _class_index(args.target_class, dataset.class_names)
-    out_dir = Path(args.out) if args.out else run_dir / "gradcam"
-    gallery = cam_case_gallery(model, dataset, args.correct, args.wrong, out_dir, target)
+    with _finite_outputs_on(args, split):
+        gallery = cam_case_gallery(model, dataset, args.correct, args.wrong, out_dir, target)
     print(f"wrote {len(gallery.cases)} overlays to {out_dir} ({gallery.note})")
     return 0
 
 
 def cmd_pca(args) -> int:
-    run_dir = Path(args.run)
-    exp, model = _load_run(run_dir)
-    dataset = _load_split(run_dir, args.split, args.data, exp.model.classes)
-    out_dir = Path(args.out) if args.out else run_dir / "pca"
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.layer == "auto":
-        choice = select_feature_layer(model, dataset)
+    model, datasets, out_dir = _open_run(args)
+    [(split, dataset)] = datasets.items()
+    layer = args.layer
+    if layer == "auto":
+        with _finite_outputs_on(args, split):
+            choice = select_feature_layer(model, dataset)
         layer, probs, feats = choice.layer, choice.probs, choice.features
         for name, (ratios, cumulative) in choice.curves.items():
             write_variance_curve(ratios, cumulative, out_dir / f"variance_{name}.csv")
         selection_note = "highest cumulative explained variance over the first 3 components"
         if choice.tie:
             selection_note += " (tie broken by network order)"
-    else:
-        layer = args.layer
-        if layer not in model.feature_candidates:
-            raise ValueError(
-                f"unknown feature layer {layer!r}; candidates: {', '.join(model.feature_candidates)}"
-            )
+    elif layer in model.feature_candidates:
         selection_note = "explicitly requested"
-        probs, feats = predict(model, dataset.images, feature_layer=layer)
+        with _finite_outputs_on(args, split):
+            probs, feats = predict(model, dataset.images, feature_layer=layer)
+    else:
+        raise ValueError(f"unknown feature layer {layer!r}; "
+                         f"candidates: {', '.join(model.feature_candidates)}")
     k = min(args.components, feats.shape[0] - 1, feats.shape[1])
     result = pca(feats, k, layer=layer)
+    ratio = float(np.sum(result.ratios))
     write_projections(result, dataset.labels, probs.argmax(axis=1), out_dir / "projections.csv")
-    write_variance_curve(result.ratios, np.cumsum(result.ratios),
-                         out_dir / "variance_selected.csv")
-    meta = {
-        "layer": layer,
-        "selection": selection_note,
-        "components": k,
-        "cumulative_ratio": repr(float(np.sum(result.ratios))),
-    }
-    write_kv_file(out_dir / "pca_meta.txt", meta)
-    print(f"layer {layer}: top-{k} components explain {100 * float(np.sum(result.ratios)):.1f}% of variance")
+    write_variance_curve(result.ratios, np.cumsum(result.ratios), out_dir / "variance_selected.csv")
+    write_kv_file(out_dir / "pca_meta.txt", {"layer": layer, "selection": selection_note,
+                                             "components": k, "cumulative_ratio": repr(ratio)})
+    print(f"layer {layer}: top-{k} components explain {100 * ratio:.1f}% of variance")
     print(f"wrote projections and variance curves to {out_dir}")
     return 0
 
@@ -340,9 +355,7 @@ def cmd_report(args) -> int:
         reports.append(parse_report(path))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_table1(reports, out_dir / "table1.csv")
-    write_table2(reports, out_dir / "table2.csv")
-    write_scatter_pairs(reports, out_dir / "scatter_pairs.csv")
+    _write_tables(reports, out_dir)
     print(f"compared {len(reports)} models into {out_dir}")
     for r in reports:
         print(f"  {r.model}: acc {r.accuracy:.4f}, macro F1 {r.macro_f1:.4f}, recall_min {r.recall_min:.4f}")
@@ -384,34 +397,19 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="VALUE", help=f"config key {key} (default {default})")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a run on stored splits")
-    p.add_argument("--run", required=True, help="run directory from `pfnn train`")
-    p.add_argument("--split", action="append", choices=["train", "val", "test", "data"],
-                   help="split(s) to evaluate (repeatable; default test)")
-    p.add_argument("--data", help="external MIDS1 file for --split data")
+    p = _add_run_command(sub, "eval", cmd_eval, "evaluate a run on stored splits or a file",
+                         repeat_split=True)
     p.add_argument("--model-name", dest="model_name", help="row label for tables")
-    p.add_argument("--out", help="output directory (default RUN/eval)")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gradcam", help="emit CAM overlays for picked cases")
-    p.add_argument("--run", required=True)
-    p.add_argument("--split", default="test")
-    p.add_argument("--data", help="external MIDS1 file instead of a stored split")
+    p = _add_run_command(sub, "gradcam", cmd_gradcam, "emit CAM overlays for picked cases")
     p.add_argument("--class", dest="target_class", default="malignant",
                    help="class name or index to explain (default malignant)")
     p.add_argument("--correct", type=int, default=3, help="high-confidence correct cases")
     p.add_argument("--wrong", type=int, default=3, help="misclassified cases")
-    p.add_argument("--out", help="output directory (default RUN/gradcam)")
-    p.set_defaults(func=cmd_gradcam)
 
-    p = sub.add_parser("pca", help="project a feature layer")
-    p.add_argument("--run", required=True)
-    p.add_argument("--split", default="test")
-    p.add_argument("--data", help="external MIDS1 file instead of a stored split")
+    p = _add_run_command(sub, "pca", cmd_pca, "project a feature layer")
     p.add_argument("--layer", default="auto", help="feature layer name or 'auto'")
     p.add_argument("--components", type=int, default=3)
-    p.add_argument("--out", help="output directory (default RUN/pca)")
-    p.set_defaults(func=cmd_pca)
 
     p = sub.add_parser("report", help="cross-model comparison tables")
     p.add_argument("--compare", nargs="+", required=True, metavar="RUN",

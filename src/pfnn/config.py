@@ -51,7 +51,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.test_fraction < 1.0:
-            raise ConfigError(f"test_fraction must be in [0,1), got {self.test_fraction}")
+            raise ValueError(f"test_fraction must be in [0,1), got {self.test_fraction}")
 
     @property
     def seed(self) -> int:
@@ -108,7 +108,8 @@ def _decode(hint, text: str):
 def experiment_from_mapping(mapping: Mapping[str, str]) -> ExperimentConfig:
     """Decode string settings; keys left out keep their dataclass defaults.
 
-    A value that does not decode is a ``ConfigError`` naming its key.
+    A value that does not decode, or decodes out of its key's range, is a
+    ``ConfigError`` naming its key.
     """
     unknown = sorted(set(mapping) - set(CONFIG_KEYS))
     if unknown:
@@ -120,9 +121,12 @@ def experiment_from_mapping(mapping: Mapping[str, str]) -> ExperimentConfig:
                 values[outer][key] = _decode(hint, mapping[key])
             except ValueError as exc:
                 raise ConfigError(f"config key {key}: {exc}") from None
-    model = ModelConfig(**values["model"])
-    train = TrainConfig(seed=model.seed, **values["train"])
-    return ExperimentConfig(model=model, train=train, **values[None])
+    try:  # each dataclass checks the ranges of its own keys
+        model = ModelConfig(**values["model"])
+        train = TrainConfig(seed=model.seed, **values["train"])
+        return ExperimentConfig(model=model, train=train, **values[None])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def experiment_to_mapping(config: ExperimentConfig) -> dict[str, str]:

@@ -95,6 +95,8 @@ def generate(spec: GenSpec) -> LabeledImageSet:
     total = int(sum(spec.counts))
     if total < 1:
         raise ValueError("at least one class must be non-empty")
+    if spec.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {spec.seed}")
     side = spec.side
     labels = np.repeat(np.arange(len(spec.counts), dtype=np.uint8), spec.counts)
     # each spawn continues the child count, so spawning per chunk gives the

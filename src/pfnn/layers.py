@@ -89,6 +89,19 @@ class ModelConfig:
     reduction_ratio: int = 16
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.conv_widths:
+            raise ValueError("conv_widths must name at least one conv layer")
+        if any(w < 1 for w in self.conv_widths):
+            raise ValueError(f"conv_widths must be positive, got {self.conv_widths}")
+        for key in ("kernel", "head_units", "classes", "reduction_ratio"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 @dataclass
 class ForwardResult:
@@ -106,17 +119,6 @@ class ModelSpec:
     """
 
     def __init__(self, config: ModelConfig):
-        if config.classes < 1:
-            raise ValueError("model needs at least one class")
-        if not config.conv_widths:
-            raise ValueError("model needs at least one conv layer")
-        if config.kernel < 1 or config.head_units < 1 or config.reduction_ratio < 1:
-            raise ValueError("kernel, head_units and reduction_ratio must be positive")
-        if not 0.0 <= config.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {config.dropout_rate}")
-        if any(w < 1 for w in config.conv_widths):
-            raise ValueError("conv widths must be positive")
-
         self.config = config
         self.params: dict[str, Tensor] = {}
         self.bn: dict[str, BatchNormState] = {}

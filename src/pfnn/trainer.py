@@ -32,6 +32,10 @@ class TrainingDiverged(RuntimeError):
         self.run = run
 
 
+class NonFiniteOutputs(ValueError):
+    """Raised by ``predict`` when the model's outputs on an input are not finite."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
@@ -46,16 +50,19 @@ class TrainConfig:
     val_fraction: float = 0.15
 
     def __post_init__(self):
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for key in ("batch_size", "max_epochs", "rlrop_patience", "early_stop_patience"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0.0 < self.rlrop_factor < 1.0:
             raise ValueError(f"rlrop_factor must be in (0,1), got {self.rlrop_factor}")
-        if self.rlrop_patience < 1 or self.early_stop_patience < 1:
-            raise ValueError("patience values must be >= 1")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0,1), got {self.val_fraction}")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be positive")
-        if self.lambda_fs < 0:
-            raise ValueError("lambda_fs must be nonnegative")
+        if not self.lambda_fs >= 0:
+            raise ValueError(f"lambda_fs must be >= 0, got {self.lambda_fs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -224,6 +231,8 @@ def _forward_blocks(
     sends a lone row to gemv. So every row is bit-identical to one
     forward over all the images, whatever the block size. Only the
     current block is cast to float64; float32 pixels are never copied whole.
+    A block whose probabilities or captures are not finite raises
+    ``NonFiniteOutputs``, and its overflow raises no numpy warning.
     """
     images = np.asarray(images)
     n = images.shape[0]
@@ -237,11 +246,14 @@ def _forward_blocks(
     probs: list[np.ndarray] = []
     captured: dict[str, list[np.ndarray]] = {name: [] for name in layers}
     for start, stop in zip(starts, starts[1:] + [n]):
-        result = model.forward(Tensor(images[start:stop]), training=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below as one error
+            result = model.forward(Tensor(images[start:stop]), training=False)
         probs.append(result.probs.data)
         for name, parts in captured.items():
             parts.append(result.captures[name].data)
         del result
+        if not all(np.isfinite(part[-1]).all() for part in (probs, *captured.values())):
+            raise NonFiniteOutputs("the model's outputs are not finite")
     return np.concatenate(probs), {name: np.concatenate(parts) for name, parts in captured.items()}
 
 
@@ -335,7 +347,10 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
                 running_loss += loss_value * idx.size
                 running_correct += int((result.probs.data.argmax(axis=1) == y_train[idx]).sum())
 
-            val_loss, val_acc = _eval_split(model, data.images[val_idx], y_val, config.lambda_fs, source)
+            try:
+                val_loss, val_acc = _eval_split(model, data.images[val_idx], y_val, config.lambda_fs, source)
+            except NonFiniteOutputs:
+                raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}") from None
             history.append(EpochRecord(epoch, running_loss / n, running_correct / n,
                                        val_loss, val_acc, lr))
             if not math.isfinite(val_loss):

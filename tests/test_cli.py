@@ -10,12 +10,15 @@ import warnings
 import numpy as np
 import pytest
 
+from pfnn.autodiff import Tensor
 from pfnn.checkpoint import load_checkpoint, save_checkpoint
 from pfnn.cli import main
 from pfnn.config import experiment_from_mapping, read_kv_file
 from pfnn.datagen import LabeledImageSet, read_dataset, write_dataset
-from pfnn.evalkit import parse_report
-from pfnn.layers import ModelSpec
+from pfnn.evalkit import build_report, parse_report, write_report
+from pfnn.layers import ModelSpec, build_model
+from pfnn.losses import cross_entropy
+from pfnn.trainer import predict
 
 
 def sha256(path):
@@ -275,8 +278,6 @@ class TestEval:
 
     def test_emitted_auc_matches_library_call(self, mini):
         from pfnn.evalkit import roc_curve
-        from pfnn.layers import build_model
-        from pfnn.trainer import predict
 
         _, run = mini
         main(["eval", "--run", str(run)])
@@ -361,9 +362,32 @@ class TestEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
-    def test_missing_split_is_an_error(self, mini):
-        _, run = mini
-        assert main(["eval", "--run", str(run), "--split", "data"]) == 1
+    def test_missing_split_is_an_error(self, mini, tmp_path, capsys):
+        data, _ = mini
+        run = tmp_path / "no-test"
+        assert main(["train", "--data", str(data), "--out", str(run), "--test-fraction", "0",
+                     *TRAIN_ARGS]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "test.mids" in err[0]
+
+    def test_data_file_is_evaluated_as_split_data(self, mini, tmp_path):
+        data, run = mini
+        out = tmp_path / "e"
+        assert main(["eval", "--run", str(run), "--data", str(data), "--out", str(out)]) == 0
+        assert not (out / "report_test.json").exists()
+        exp = experiment_from_mapping(read_kv_file(run / "config.snapshot"))
+        model = build_model(exp.model)
+        model.load_state(load_checkpoint(run / "checkpoint.pfnn"))
+        dataset = read_dataset(data)
+        labels = dataset.labels.astype(np.intp)
+        probs, _ = predict(model, dataset.images)
+        loss = float(cross_entropy(Tensor(probs), labels).data)
+        expected = build_report(run.name, "data", labels, probs.argmax(axis=1), probs, loss,
+                                dataset.class_names)
+        write_report(expected, tmp_path / "expected.json")
+        assert (out / "report_data.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
 
 
 class TestGradcamCommand:
@@ -424,9 +448,8 @@ class TestEmptySplit:
     @pytest.mark.parametrize("command", ["eval", "pca", "gradcam"])
     def test_is_one_error_line_naming_the_file(self, mini, empty, tmp_path, capsys, command):
         _, run = mini
-        split = ["--split", "data"] if command == "eval" else []
         capsys.readouterr()
-        assert main([command, "--run", str(run), *split, "--data", str(empty),
+        assert main([command, "--run", str(run), "--data", str(empty),
                      "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -440,7 +463,7 @@ class TestEmptySplit:
         bad = tmp_path / "badlabel.mids"
         bad.write_bytes(bytes(raw))
         capsys.readouterr()
-        assert main(["eval", "--run", str(run), "--split", "data", "--data", str(bad)]) == 1
+        assert main(["eval", "--run", str(run), "--data", str(bad)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "badlabel.mids" in err[0] and "label out of range" in err[0]
 
@@ -460,12 +483,76 @@ class TestClassTable:
         _, run = mini
         argv = [command, "--data", str(other_table), "--out", str(tmp_path / "out")]
         if command != "train":
-            argv += ["--run", str(run), *(["--split", "data"] if command == "eval" else [])]
+            argv += ["--run", str(run)]
         capsys.readouterr()
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert other_table.name in err[0] and "classes" in err[0]
+
+
+class TestRunInput:
+    """eval, pca and gradcam read either stored splits or one --data file."""
+
+    @pytest.mark.parametrize("argv", [
+        *([c, "--split", "test", "--data", "d.mids"] for c in ("eval", "pca", "gradcam")),
+        *([c, "--split", "bogus"] for c in ("eval", "pca", "gradcam")),
+        *([c, "--split", "test", "--split", "val"] for c in ("pca", "gradcam")),
+    ], ids=lambda argv: " ".join(argv))
+    def test_is_a_usage_error(self, mini, tmp_path, capsys, argv):
+        _, run = mini
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--run", str(run), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--split" in capsys.readouterr().err.splitlines()[-1]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["pca", "--layer", "auto"], ["pca", "--layer", "head_features"], ["gradcam"],
+    ], ids=["pca-auto", "pca-head_features", "gradcam"])
+    def test_overflowing_model_is_one_error_line(self, mini, tmp_path, capsys, argv):
+        _, run = mini
+        bad = tmp_path / "bad"
+        shutil.copytree(run, bad, ignore=shutil.ignore_patterns("eval", "pca", "gradcam"))
+        state = load_checkpoint(bad / "checkpoint.pfnn")
+        state["conv1/kernel"] = np.full_like(state["conv1/kernel"], 1e308)  # finite, but overflows
+        save_checkpoint(bad / "checkpoint.pfnn", state)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be one more line on stderr
+            assert main([*argv, "--run", str(bad), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "checkpoint.pfnn" in err[0] and "split 'test' are not finite" in err[0]
+        assert not list((tmp_path / "out").glob("case_*"))
+
+
+class TestConfigRange:
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--conv-widths", "0", "conv_widths"),
+        ("--learning-rate", "-0.5", "learning_rate"),
+        ("--learning-rate", "nan", "learning_rate"),
+        ("--seed", "-1", "seed"),
+    ])
+    def test_bad_value_leaves_an_existing_run_untouched(self, mini, tmp_path, capsys, flag, value, key):
+        data, run = mini
+        used = tmp_path / "used"
+        shutil.copytree(run, used)
+        assert main(["eval", "--run", str(used)]) == 0
+        before = {p: p.read_bytes() for p in used.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(used), *TRAIN_ARGS, flag, value]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+        assert {p: p.read_bytes() for p in used.rglob("*") if p.is_file()} == before
+
+    def test_negative_gen_data_seed_names_the_key(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["gen-data", "--counts", "3,3,3", "--seed", "-1",
+                     "--out", str(tmp_path / "d.mids")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
+        assert not (tmp_path / "d.mids").exists()
 
 
 class TestFlags:

@@ -104,6 +104,19 @@ def test_unknown_key_and_bad_fraction_rejected(tmp_path):
     assert experiment_from_mapping(read_kv_file(path)).model.kernel == 5
 
 
+@pytest.mark.parametrize("key,value", [
+    ("conv_widths", ""), ("conv_widths", "8,0"), ("kernel", "0"), ("head_units", "0"),
+    ("classes", "0"), ("reduction_ratio", "0"), ("dropout_rate", "1.0"), ("seed", "-1"),
+    ("learning_rate", "0"), ("learning_rate", "-0.5"), ("learning_rate", "nan"),
+    ("learning_rate", "inf"), ("batch_size", "0"), ("max_epochs", "0"), ("rlrop_patience", "0"),
+    ("early_stop_patience", "0"), ("rlrop_factor", "1.0"), ("val_fraction", "0"),
+    ("lambda_fs", "-0.1"), ("lambda_fs", "nan"), ("test_fraction", "-0.1"),
+])
+def test_out_of_range_value_is_a_config_error_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must"):
+        experiment_from_mapping({key: value})
+
+
 def train_flag(key):
     """The ``pfnn train`` flag of a config key."""
     return "--" + key.removeprefix("enable_").replace("_", "-")

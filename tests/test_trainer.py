@@ -15,6 +15,7 @@ from pfnn.losses import total_loss
 from pfnn.trainer import (
     ADAM_EPS,
     AdamState,
+    NonFiniteOutputs,
     Plateau,
     TrainConfig,
     TrainingDiverged,
@@ -302,6 +303,25 @@ class TestFit:
         assert excinfo.value.run is not None
         assert len(excinfo.value.run.history) < 5
 
+    def test_non_finite_validation_pass_aborts_with_partial_history(self):
+        model = self.small_model(seed=1)
+        forward = model.forward
+        calls = {"validation": 0}
+
+        def nan_from_the_second_validation(x, training=False, rng=None):
+            result = forward(x, training=training, rng=rng)
+            if not training:
+                calls["validation"] += 1
+                if calls["validation"] > 1:
+                    result.probs.data[:] = np.nan
+            return result
+
+        model.forward = nan_from_the_second_validation
+        cfg = TrainConfig(max_epochs=3, batch_size=32, seed=1, val_fraction=0.3)
+        with pytest.raises(TrainingDiverged, match="validation loss at epoch 2") as excinfo:
+            fit(model, toy_set((6, 6, 6)), cfg)
+        assert [rec.epoch for rec in excinfo.value.run.history] == [1]
+
 
 def block_images(side):
     """Images per predict block at this side (a multiple of 4, at least 4)."""
@@ -397,6 +417,14 @@ class TestPredict:
             predict(model, np.zeros((0, 8, 8, 1)))
         with pytest.raises(ValueError, match="no images"):
             predict_layers(model, np.zeros((0, 8, 8, 1)), model.feature_candidates)
+
+    @pytest.mark.parametrize("layers", [(), ("pool_fused", "head_features")], ids=["probs", "captures"])
+    def test_overflowing_model_is_one_error_and_no_warning(self, layers):
+        model = build_model(ModelConfig(conv_widths=(2,), head_units=4, seed=0))
+        model.params["conv1/kernel"].data[:] = 1e308  # finite, but the forward overflows
+        images = np.random.default_rng(5).uniform(0, 1, (9, 8, 8, 1))
+        with pytest.raises(NonFiniteOutputs, match="not finite"):
+            predict_layers(model, images, layers)
 
     def test_predict_layers_is_one_pass_matching_predict(self):
         model = build_model(ModelConfig(conv_widths=(3, 4), head_units=8, seed=2))
