@@ -1,10 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The op set is exactly what a small convolutional classifier needs:
-conv2d (stride 1, same/valid padding), dense (matmul + bias), relu,
-sigmoid, softmax, global average/max pooling, last-axis concatenation,
-add and mul with broadcasting, a full sum, dropout and batch
-normalization. The losses are single nodes of their own (``pfnn.losses``).
+conv2d (stride 1, same padding), dense (2-D matmul + bias), relu,
+sigmoid, last-axis softmax, global average/max pooling, two-way last-axis
+concatenation, add and mul with leading-axis broadcasting, a full sum,
+dropout and batch normalization. The losses are single nodes of their
+own (``pfnn.losses``).
 
 conv2d is im2col convolution: one GEMM of the (kh, kw, Cin) patch matrix
 with the flattened kernel per pass. batch_norm is a single op with the
@@ -108,21 +109,16 @@ def _sum_leading(a: np.ndarray, k: int) -> np.ndarray:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``g`` over the axes numpy broadcast to reach ``g.shape``."""
+    """Sum ``g`` over the leading axes broadcasting prepended to ``shape``."""
     extra = g.ndim - len(shape)
-    if extra:
-        g = _sum_leading(g, extra)
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    return _sum_leading(g, extra) if extra else g
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    """Broadcasting may only prepend axes (a bias, a scalar)."""
+    short, long = sorted((a.shape, b.shape), key=len)
+    if long[len(long) - len(short):] != short:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ off the leading axes")
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +155,15 @@ def sigmoid(a) -> Tensor:
     return _make(s, "sigmoid", (a,), lambda g: (g * s * (1.0 - s),))
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis`` (max subtraction)."""
+def softmax(a) -> Tensor:
+    """Stable softmax along the last axis (max subtraction)."""
     a = _as_tensor(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
+    z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
+        return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
 
     return _make(s, "softmax", (a,), vjp)
 
@@ -178,17 +174,11 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if b.data.ndim != 2 or a.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul: expects (N,D)or(D,) @ (D,U), got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul: expects (N,D) @ (D,U), got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ for {a.shape} @ {b.shape}")
-
-    def vjp(g):
-        if a.data.ndim == 1:
-            return (g @ b.data.T, np.outer(a.data, g))
-        return (g @ b.data.T, a.data.T @ g)
-
-    return _make(a.data @ b.data, "matmul", (a, b), vjp)
+    return _make(a.data @ b.data, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def reduce_sum(a) -> Tensor:
@@ -197,24 +187,17 @@ def reduce_sum(a) -> Tensor:
     return _make(a.data.sum(), "sum", (a,), lambda g: (np.broadcast_to(g, a.shape),))
 
 
-def concat_last(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the last axis; all other extents must match."""
-    parts = tuple(_as_tensor(p) for p in parts)
-    if not parts:
-        raise ShapeError("concat_last: needs at least one input")
-    lead = parts[0].shape[:-1]
-    for p in parts[1:]:
-        if p.shape[:-1] != lead or p.data.ndim != parts[0].data.ndim:
-            raise ShapeError(
-                f"concat_last: shapes {parts[0].shape} and {p.shape} differ off the last axis"
-            )
-    widths = [p.shape[-1] for p in parts]
-    offsets = np.cumsum(widths)[:-1]
+def concat_last(a, b) -> Tensor:
+    """Concatenate ``a`` then ``b`` along the last axis; all other extents must match."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.ndim != b.data.ndim or a.shape[:-1] != b.shape[:-1]:
+        raise ShapeError(f"concat_last: shapes {a.shape} and {b.shape} differ off the last axis")
+    split = a.shape[-1]
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, offsets, axis=-1))
+        return (np.ascontiguousarray(g[..., :split]), np.ascontiguousarray(g[..., split:]))
 
-    return _make(np.concatenate([p.data for p in parts], axis=-1), "concat", parts, vjp)
+    return _make(np.concatenate([a.data, b.data], axis=-1), "concat", (a, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +249,11 @@ def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * xp.shape[3])
 
 
-def conv2d(x, kernel, padding: str = "same") -> Tensor:
-    """Stride-1 2-D convolution, channel-last.
+def conv2d(x, kernel) -> Tensor:
+    """Stride-1 2-D convolution, channel-last, zero-padded to keep H and W.
 
-    x: (N, H, W, Cin); kernel: (kh, kw, Cin, Cout). ``same`` pads with
-    zeros to preserve H, W; ``valid`` shrinks to (H-kh+1, W-kw+1).
+    x: (N, H, W, Cin); kernel: (kh, kw, Cin, Cout). An even kernel pads
+    one more row (column) after than before.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim != 4:
@@ -283,36 +266,23 @@ def conv2d(x, kernel, padding: str = "same") -> Tensor:
         raise ShapeError(
             f"conv2d: input channels {cin} != kernel channels {kcin} (input {x.shape}, kernel {kernel.shape})"
         )
-    if padding == "same":
-        pt, pl = (kh - 1) // 2, (kw - 1) // 2
-        pad = ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0))
-    elif padding == "valid":
-        pt = pl = 0
-        pad = None
-    else:
-        raise ValueError(f"conv2d: unknown padding {padding!r}")
-    hout, wout = (h - kh + 1, w - kw + 1) if pad is None else (h, w)
-    if hout < 1 or wout < 1:
-        raise ShapeError(f"conv2d: kernel {kernel.shape} larger than input {x.shape} with {padding} padding")
-
-    def padded():
-        return x.data if pad is None else np.pad(x.data, pad)
-
-    out = (_im2col(padded(), kh, kw) @ kernel.data.reshape(-1, cout)).reshape(n, hout, wout, cout)
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    pad = ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0))
+    out = (_im2col(np.pad(x.data, pad), kh, kw) @ kernel.data.reshape(-1, cout)).reshape(n, h, w, cout)
 
     # the patch matrix is kh*kw times the input, so backward rebuilds it
     # instead of keeping it alive with the graph
     def vjp(g):
         dk = dx = None
         if kernel.requires_grad:
-            dk = (_im2col(padded(), kh, kw).T @ g.reshape(-1, cout)).reshape(kernel.shape)
+            dk = (_im2col(np.pad(x.data, pad), kh, kw).T @ g.reshape(-1, cout)).reshape(kernel.shape)
         if x.requires_grad:
             g2 = g.reshape(-1, cout)
-            dxp = np.zeros((n, hout + kh - 1, wout + kw - 1, cin))
+            dxp = np.zeros((n, h + kh - 1, w + kw - 1, cin))
             for di in range(kh):
                 for dj in range(kw):
                     tap = g2 @ kernel.data[di, dj].T
-                    dxp[:, di:di + hout, dj:dj + wout, :] += tap.reshape(n, hout, wout, cin)
+                    dxp[:, di:di + h, dj:dj + w, :] += tap.reshape(n, h, w, cin)
             dx = np.ascontiguousarray(dxp[:, pt:pt + h, pl:pl + w, :])
         return (dx, dk)
 

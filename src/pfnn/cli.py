@@ -175,8 +175,7 @@ def cmd_train(args) -> int:
     try:
         run = fit(model, pool, exp.train)
     except TrainingDiverged as exc:
-        if exc.run is not None:
-            write_history(exc.run.history, run_dir / "history.csv")
+        write_history(exc.history, run_dir / "history.csv")
         _log(run_dir, f"train diverged: {exc}")
         print(f"error: {exc} (partial history kept)", file=sys.stderr)
         return 1

@@ -199,10 +199,6 @@ def overfit_deltas(train_report: EvalReport, test_report: EvalReport) -> tuple[f
 # serialization
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    return asdict(report)
-
-
 def _from_fields(cls, data, where: str):
     """``cls`` from its JSON form: every field read by name, lists back to tuples."""
     if not isinstance(data, dict):
@@ -226,7 +222,7 @@ def _is_number(value) -> bool:
 
 
 def report_from_dict(data: dict) -> EvalReport:
-    """Decode ``report_to_dict`` output. A non-object, a missing field, or a
+    """Decode ``asdict`` of an ``EvalReport``. A non-object, a missing field, or a
     metric that is not a number (or null for the ``overfit_*`` fields) is a
     ``ValueError`` naming the field."""
     report = _from_fields(EvalReport, data, "report")
@@ -242,7 +238,7 @@ def report_from_dict(data: dict) -> EvalReport:
 
 
 def write_report(report: EvalReport, path) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(report), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(report), indent=2) + "\n", encoding="utf-8")
 
 
 def parse_report(path) -> EvalReport:
@@ -281,9 +277,8 @@ def write_scatter_pairs(reports, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["model", "pair", "x", "y"])
         for r in reports:
-            values = report_to_dict(r)
             for x_name, y_name in SCATTER_PAIRS:
-                x, y = values[x_name], values[y_name]
+                x, y = getattr(r, x_name), getattr(r, y_name)
                 if x is None or y is None:
                     continue
                 writer.writerow([r.model, f"{x_name}_vs_{y_name}", _fmt(x), _fmt(y)])

@@ -29,11 +29,7 @@ from .trainer import predict, predict_layers
 class CamMap:
     raw: np.ndarray        # (h, w) nonnegative channel-weighted activation
     upsampled: np.ndarray  # (H, W) in [0,1]; max exactly 1 unless raw is all zero
-    target_class: int
-    predicted_class: int
-    confidence: float
     alphas: np.ndarray     # per-channel weights (spatially averaged gradients)
-    layer: str
 
 
 def grad_cam(model: ModelSpec, image: np.ndarray, target_class: int) -> CamMap:
@@ -62,12 +58,8 @@ def grad_cam(model: ModelSpec, image: np.ndarray, target_class: int) -> CamMap:
     up = bilinear_resize(raw, image.shape[1], image.shape[2])
     peak = up.max()
     upsampled = up / peak if peak > 0 else np.zeros_like(up)
-    probs = result.probs.data[0]
-    predicted = int(probs.argmax())
     model.zero_grads()
-    return CamMap(raw=raw, upsampled=upsampled, target_class=int(target_class),
-                  predicted_class=predicted, confidence=float(probs[predicted]),
-                  alphas=alphas, layer=model.cam_layer)
+    return CamMap(raw=raw, upsampled=upsampled, alphas=alphas)
 
 
 def cam_overlay(image: np.ndarray, cam: np.ndarray) -> np.ndarray:

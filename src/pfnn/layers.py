@@ -53,7 +53,7 @@ def gagm(feature_maps: Tensor) -> Tensor:
     """
     if feature_maps.data.ndim != 4:
         raise ShapeError(f"gagm: expects rank-4 (N,H,W,C), got {feature_maps.shape}")
-    return concat_last([global_avg_pool(feature_maps), global_max_pool(feature_maps)])
+    return concat_last(global_avg_pool(feature_maps), global_max_pool(feature_maps))
 
 
 def compressed_units(width: int, reduction_ratio: int) -> int:
@@ -64,8 +64,7 @@ def compressed_units(width: int, reduction_ratio: int) -> int:
 def sevector(u: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Rescale the pooled vector by sigmoid gates: u * sigma(W2 relu(W1 u + b1) + b2).
 
-    Accepts a single vector (W,) or a batch (N, W); ``w1`` is (W, squeezed)
-    and ``w2`` is (squeezed, W).
+    ``u`` is a batch (N, W); ``w1`` is (W, squeezed) and ``w2`` is (squeezed, W).
     """
     squeezed = relu(add(matmul(u, w1), b1))
     gate = sigmoid(add(matmul(squeezed, w2), b2))
@@ -164,7 +163,7 @@ class ModelSpec:
         t = x
         for i in range(1, len(self.config.conv_widths) + 1):
             # no conv bias: the batchnorm after it subtracts the channel mean
-            t = conv2d(t, self.params[f"conv{i}/kernel"], "same")
+            t = conv2d(t, self.params[f"conv{i}/kernel"])
             t = batch_norm(t, self.params[f"bn{i}/gamma"], self.params[f"bn{i}/beta"],
                            self.bn[f"bn{i}"], training)
             t = relu(t)
@@ -183,7 +182,7 @@ class ModelSpec:
         captures["head_features"] = features
         dropped = dropout(features, self.config.dropout_rate, rng, training)
         logits = add(matmul(dropped, self.params["out/weight"]), self.params["out/bias"])
-        return ForwardResult(softmax(logits, axis=-1), logits, captures)
+        return ForwardResult(softmax(logits), logits, captures)
 
     # -- state management ---------------------------------------------------
 

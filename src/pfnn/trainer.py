@@ -24,12 +24,12 @@ HISTORY_FIELDS = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc", "lr
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss or gradient goes non-finite; partial history may
-    be attached as ``run``."""
+    """Raised when a loss or Adam's second moment goes non-finite. ``fit``
+    attaches the epochs it finished, every loss finite, as ``history``."""
 
-    def __init__(self, message: str, run: "TrainRun | None" = None):
+    def __init__(self, message: str):
         super().__init__(message)
-        self.run = run
+        self.history: list[EpochRecord] = []
 
 
 class NonFiniteOutputs(ValueError):
@@ -59,8 +59,9 @@ class TrainConfig:
             raise ValueError(f"rlrop_factor must be in (0,1), got {self.rlrop_factor}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0,1), got {self.val_fraction}")
-        if not self.lambda_fs >= 0:
-            raise ValueError(f"lambda_fs must be >= 0, got {self.lambda_fs}")
+        for key in ("lambda_fs", "min_delta"):
+            if not (getattr(self, key) >= 0 and math.isfinite(getattr(self, key))):
+                raise ValueError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -79,10 +80,9 @@ class EpochRecord:
 class TrainRun:
     history: list[EpochRecord]
     best_epoch: int
-    best_state: dict[str, np.ndarray]
     stopped_early: bool
-    train_set: LabeledImageSet | None = None
-    val_set: LabeledImageSet | None = None
+    train_set: LabeledImageSet
+    val_set: LabeledImageSet
 
 
 # ---------------------------------------------------------------------------
@@ -135,22 +135,26 @@ class AdamState:
 
 
 def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float) -> None:
-    """One Adam update over all parameters (bias-corrected moments)."""
+    """One Adam update over all parameters (bias-corrected moments). A
+    non-finite second moment (from a non-finite gradient, or one whose
+    square overflows) raises ``TrainingDiverged`` naming the parameter."""
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
         m = state.m.get(name)
         if m is None:
             m = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below as one error
+            v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+            v_hat = v / bc2
+        if not np.isfinite(v_hat).all():
+            raise TrainingDiverged(f"non-finite Adam second moment in parameter {name!r}")
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
         state.m[name], state.v[name] = m, v
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        p.data -= lr * (m / bc1) / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +233,9 @@ def _forward_blocks(
     block before it: OpenBLAS's dgemm rounds the rows of a tail of fewer
     than 4 rows differently (seen on the 3-wide output layer), and numpy
     sends a lone row to gemv. So every row is bit-identical to one
-    forward over all the images, whatever the block size. Only the
+    forward over all the images, whatever the block size, on one numpy
+    build, OpenBLAS kernel and BLAS thread count (``OPENBLAS_CORETYPE``
+    and ``OPENBLAS_NUM_THREADS`` pin the last two). Only the
     current block is cast to float64; float32 pixels are never copied whole.
     A block whose probabilities or captures are not finite raises
     ``NonFiniteOutputs``, and its overflow raises no numpy warning.
@@ -301,6 +307,10 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
     computed on the whole validation split at once. The splits' pixels
     stay float32; each batch and inference block is cast on its own. Until
     ``fit`` returns, the splits are index arrays into ``data``, not copies.
+
+    A non-finite batch loss, epoch mean or validation loss, or a non-finite
+    Adam second moment, raises ``TrainingDiverged`` without a numpy warning;
+    its ``history`` holds the epochs before, whose losses are all finite.
     """
     if len(data) == 0:
         raise ValueError("fit: dataset is empty")
@@ -324,37 +334,37 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
     stopped_early = False
     n = train_idx.size
 
-    def run_so_far() -> TrainRun:
-        return TrainRun(history, best_epoch, best_state, stopped_early,
-                        data.subset(train_idx, "train"), data.subset(val_idx, "val"))
-
     try:
         for epoch in range(1, config.max_epochs + 1):
             perm = rng.permutation(n)
             running_loss = 0.0
             running_correct = 0
-            for start in range(0, n, config.batch_size):
-                idx = perm[start:start + config.batch_size]
-                result = model.forward(Tensor(data.images[train_idx[idx]]), training=True, rng=rng)
-                loss = total_loss(result.probs, y_train[idx],
-                                  result.captures[source], config.lambda_fs)
-                loss_value = float(loss.data)
-                if not math.isfinite(loss_value):
+            # an overflow surfaces in the finiteness checks, as one error
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, n, config.batch_size):
+                    idx = perm[start:start + config.batch_size]
+                    result = model.forward(Tensor(data.images[train_idx[idx]]), training=True, rng=rng)
+                    loss = total_loss(result.probs, y_train[idx],
+                                      result.captures[source], config.lambda_fs)
+                    loss_value = float(loss.data)
+                    if not math.isfinite(loss_value):
+                        raise TrainingDiverged(f"non-finite training loss at epoch {epoch}")
+                    model.zero_grads()
+                    backward(loss)
+                    adam_step(model.params, adam, lr)
+                    running_loss += loss_value * idx.size
+                    running_correct += int((result.probs.data.argmax(axis=1) == y_train[idx]).sum())
+                train_loss = running_loss / n
+                if not math.isfinite(train_loss):  # the sum can overflow
                     raise TrainingDiverged(f"non-finite training loss at epoch {epoch}")
-                model.zero_grads()
-                backward(loss)
-                adam_step(model.params, adam, lr)
-                running_loss += loss_value * idx.size
-                running_correct += int((result.probs.data.argmax(axis=1) == y_train[idx]).sum())
-
-            try:
-                val_loss, val_acc = _eval_split(model, data.images[val_idx], y_val, config.lambda_fs, source)
-            except NonFiniteOutputs:
-                raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}") from None
-            history.append(EpochRecord(epoch, running_loss / n, running_correct / n,
-                                       val_loss, val_acc, lr))
+                try:
+                    val_loss, val_acc = _eval_split(model, data.images[val_idx], y_val,
+                                                    config.lambda_fs, source)
+                except NonFiniteOutputs:
+                    val_loss = math.nan
             if not math.isfinite(val_loss):
                 raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
+            history.append(EpochRecord(epoch, train_loss, running_correct / n, val_loss, val_acc, lr))
             if val_loss < best_val:
                 best_val = val_loss
                 best_epoch = epoch
@@ -365,11 +375,12 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
                 stopped_early = True
                 break
     except TrainingDiverged as exc:
-        exc.run = run_so_far()
+        exc.history = history
         raise
 
     model.load_state(best_state)
-    return run_so_far()
+    return TrainRun(history, best_epoch, stopped_early,
+                    data.subset(train_idx, "train"), data.subset(val_idx, "val"))
 
 
 # ---------------------------------------------------------------------------

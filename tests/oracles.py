@@ -31,18 +31,17 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
 
 
-def conv2d_direct(x: np.ndarray, k: np.ndarray, padding: str) -> np.ndarray:
-    """Quadruple-loop direct convolution (channel-last, stride 1)."""
+def conv2d_direct(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Quadruple-loop direct convolution (channel-last, stride 1), zero-padded
+    to keep H and W, the extra row and column of an even kernel after."""
     n, h, w, cin = x.shape
     kh, kw, _, cout = k.shape
-    if padding == "same":
-        pt, pl = (kh - 1) // 2, (kw - 1) // 2
-        x = np.pad(x, ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0)))
-    hout, wout = x.shape[1] - kh + 1, x.shape[2] - kw + 1
-    out = np.zeros((n, hout, wout, cout))
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    x = np.pad(x, ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0)))
+    out = np.zeros((n, h, w, cout))
     for b in range(n):
-        for i in range(hout):
-            for j in range(wout):
+        for i in range(h):
+            for j in range(w):
                 for co in range(cout):
                     acc = 0.0
                     for di in range(kh):

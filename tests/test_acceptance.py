@@ -76,12 +76,12 @@ def _op_builders():
     simple("add", lambda t, a: add(t, a))
     simple("add_broadcast", lambda t, a: add(t, Tensor(a.data[0])))
     simple("mul", lambda t, a: mul(t, a))
-    simple("mul_broadcast", lambda t, a: mul(t, Tensor(a.data[:, :1])))
+    simple("mul_broadcast", lambda t, a: mul(t, Tensor(a.data[0])))
     simple("relu", lambda t, a: relu(t))
     simple("sigmoid", lambda t, a: sigmoid(t))
     simple("softmax", lambda t, a: softmax(t))
     simple("reduce_sum", lambda t, a: reduce_sum(t))
-    simple("concat_last", lambda t, a: concat_last([t, a, t]))
+    simple("concat_last", lambda t, a: concat_last(t, mul(a, t)))
 
     def builder_matmul(rng):
         t = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
@@ -95,41 +95,24 @@ def _op_builders():
 
     builders["matmul"] = builder_matmul
 
-    def builder_matvec(rng):
-        t = Tensor(rng.uniform(-1, 1, 6), requires_grad=True)
-        m = Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
-        w = Tensor(rng.uniform(-1, 1, 4))
+    def builder_conv(rng):
+        x = Tensor(rng.uniform(-1, 1, (2, 5, 5, 2)), requires_grad=True)
+        k = Tensor(rng.uniform(-1, 1, (3, 3, 2, 3)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (2, 5, 5, 3)))
 
         def forward():
-            return reduce_sum(mul(matmul(t, m), w))
+            return reduce_sum(mul(conv2d(x, k), w))
 
-        return forward, {"v": t, "m": m}
+        return forward, {"x": x, "kernel": k}
 
-    builders["matmul_vector"] = builder_matvec
-
-    def builder_conv(padding):
-        def builder(rng):
-            x = Tensor(rng.uniform(-1, 1, (2, 5, 5, 2)), requires_grad=True)
-            k = Tensor(rng.uniform(-1, 1, (3, 3, 2, 3)), requires_grad=True)
-            out_shape = conv2d(x, k, padding).shape
-            w = Tensor(rng.uniform(-1, 1, out_shape))
-
-            def forward():
-                return reduce_sum(mul(conv2d(x, k, padding), w))
-
-            return forward, {"x": x, "kernel": k}
-
-        return builder
-
-    builders["conv2d_same"] = builder_conv("same")
-    builders["conv2d_valid"] = builder_conv("valid")
+    builders["conv2d"] = builder_conv
 
     def builder_pools(rng):
         x = Tensor(rng.uniform(-1, 1, (2, 4, 5, 3)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (2, 6)))
 
         def forward():
-            fused = concat_last([global_avg_pool(x), global_max_pool(x)])
+            fused = concat_last(global_avg_pool(x), global_max_pool(x))
             return reduce_sum(mul(fused, w))
 
         return forward, {"x": x}

@@ -33,15 +33,14 @@ from pfnn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from pfnn.layers import ModelConfig, build_model
 
 
-# (input, kernel) shapes: odd, 1x1, even (asymmetric `same` padding) and Cin = 1 kernels
-CONV_SHAPES = [
+# (input, kernel) shapes: odd, 1x1, even (asymmetric padding) and Cin = 1 kernels
+CONV_CASES = [
     ((2, 6, 5, 3), (3, 3, 3, 4)),
     ((2, 5, 4, 2), (1, 1, 2, 3)),
     ((2, 5, 4, 2), (2, 2, 2, 3)),
     ((1, 6, 5, 2), (4, 4, 2, 2)),
     ((2, 6, 5, 1), (3, 3, 1, 4)),
 ]
-CONV_CASES = [(xs, ks, padding) for xs, ks in CONV_SHAPES for padding in ("same", "valid")]
 
 
 class TestForward:
@@ -61,14 +60,14 @@ class TestForward:
 
     def test_conv2d_matches_direct_oracle(self):
         rng = np.random.default_rng(1)
-        for x_shape, k_shape, padding in CONV_CASES:
+        for x_shape, k_shape in CONV_CASES:
             x = rng.uniform(-2, 2, x_shape)
             k = rng.uniform(-1, 1, k_shape)
-            out = conv2d(Tensor(x), Tensor(k), padding)
-            np.testing.assert_allclose(out.data, conv2d_direct(x, k, padding), atol=1e-12)
+            out = conv2d(Tensor(x), Tensor(k))
+            np.testing.assert_allclose(out.data, conv2d_direct(x, k), atol=1e-12)
 
     def test_conv2d_one_by_one_kernel(self):
-        out = conv2d(Tensor(np.ones((1, 3, 3, 1))), Tensor(np.full((1, 1, 1, 1), 2.0)), "valid")
+        out = conv2d(Tensor(np.ones((1, 3, 3, 1))), Tensor(np.full((1, 1, 1, 1), 2.0)))
         np.testing.assert_array_equal(out.data, np.full((1, 3, 3, 1), 2.0))
 
     def test_conv2d_rejects_channel_mismatch(self):
@@ -79,9 +78,19 @@ class TestForward:
         with pytest.raises(ShapeError, match="matmul"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
+    def test_matmul_rejects_a_vector_operand(self):
+        with pytest.raises(ShapeError, match="matmul"):
+            matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 4))))
+
     def test_add_rejects_bad_broadcast(self):
         with pytest.raises(ShapeError, match="add"):
             add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
+
+    @pytest.mark.parametrize("op", [add, mul], ids=["add", "mul"])
+    @pytest.mark.parametrize("b_shape", [(3, 1), (1, 4)], ids=["3x1", "1x4"])
+    def test_inner_axis_broadcast_is_a_shape_error(self, op, b_shape):
+        with pytest.raises(ShapeError, match=f"^{op.__name__}: "):
+            op(Tensor(np.zeros((3, 4))), Tensor(np.zeros(b_shape)))
 
     def test_pools_reduce_spatial_axes(self):
         x = np.arange(24.0).reshape(1, 3, 4, 2)
@@ -97,10 +106,10 @@ class TestForward:
 
     def test_concat_last_axis(self):
         a, b = np.ones((2, 3)), np.zeros((2, 2))
-        out = concat_last([Tensor(a), Tensor(b)])
+        out = concat_last(Tensor(a), Tensor(b))
         assert out.shape == (2, 5)
         with pytest.raises(ShapeError, match="concat"):
-            concat_last([Tensor(a), Tensor(np.zeros((3, 2)))])
+            concat_last(Tensor(a), Tensor(np.zeros((3, 2))))
 
 
 class TestBackward:
@@ -216,8 +225,8 @@ class TestPerOpGradients:
         weights = rng.uniform(-1, 1, (2, 6))
 
         def forward():
-            fm = relu(conv2d(x, k, "same"))
-            pooled = concat_last([global_avg_pool(fm), global_max_pool(fm)])
+            fm = relu(conv2d(x, k))
+            pooled = concat_last(global_avg_pool(fm), global_max_pool(fm))
             return reduce_sum(mul(pooled, Tensor(weights)))
 
         loss = forward()
@@ -226,16 +235,16 @@ class TestPerOpGradients:
         for t in (x, k):
             assert rel_err(t.grad, fd_gradient(forward, t.data)) < 1e-4
 
-    @pytest.mark.parametrize("x_shape,k_shape,padding", CONV_CASES,
-                             ids=[f"{ks[0]}x{ks[1]}-cin{ks[2]}-{p}" for _, ks, p in CONV_CASES])
-    def test_conv2d_gradients(self, x_shape, k_shape, padding):
+    @pytest.mark.parametrize("x_shape,k_shape", CONV_CASES,
+                             ids=[f"{ks[0]}x{ks[1]}-cin{ks[2]}-same" for _, ks in CONV_CASES])
+    def test_conv2d_gradients(self, x_shape, k_shape):
         rng = np.random.default_rng(sum(k_shape))
         x = Tensor(rng.uniform(-1, 1, x_shape), requires_grad=True)
         k = Tensor(rng.uniform(-1, 1, k_shape), requires_grad=True)
-        weights = Tensor(rng.uniform(-1, 1, conv2d(x, k, padding).shape))
+        weights = Tensor(rng.uniform(-1, 1, conv2d(x, k).shape))
 
         def forward():
-            return reduce_sum(mul(conv2d(x, k, padding), weights))
+            return reduce_sum(mul(conv2d(x, k), weights))
 
         backward(forward())
         for t in (x, k):
@@ -248,7 +257,7 @@ class TestPerOpGradients:
         weights = Tensor(rng.uniform(-1, 1, (2, 5, 5, 2)))
 
         def forward():
-            return reduce_sum(mul(conv2d(x, k, "same"), weights))
+            return reduce_sum(mul(conv2d(x, k), weights))
 
         backward(forward())
         assert x.grad is None

@@ -3,9 +3,11 @@
 import csv
 import hashlib
 import json
+import math
 import shutil
 import struct
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from pfnn.datagen import LabeledImageSet, read_dataset, write_dataset
 from pfnn.evalkit import build_report, parse_report, write_report
 from pfnn.layers import ModelSpec, build_model
 from pfnn.losses import cross_entropy
-from pfnn.trainer import predict
+from pfnn.trainer import predict, read_history
 
 
 def sha256(path):
@@ -167,28 +169,40 @@ class TestTrain:
         assert code == 1
 
     def test_divergent_run_exits_nonzero_keeping_partial_artifacts(self, tmp_path):
-        import warnings
-
-        # same data/seed combination the trainer divergence test verifies
+        # same data/seed combination the trainer divergence test verifies; the
+        # overflow raises no warning, which the suite would fail
         data = tmp_path / "d.mids"
         assert main(["gen-data", "--counts", "6,6,6", "--side", "8", "--seed", "13",
                      "--out", str(data)]) == 0
         run = tmp_path / "boom"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(["train", "--data", str(data), "--out", str(run), "--seed", "1",
-                         "--learning-rate", "1e200", "--conv-widths", "3",
-                         "--head-units", "8", "--max-epochs", "5", "--batch-size", "8",
-                         "--val-fraction", "0.3", "--dropout-rate", "0.0",
-                         "--test-fraction", "0"])
+        code = main(["train", "--data", str(data), "--out", str(run), "--seed", "1",
+                     "--learning-rate", "1e200", "--conv-widths", "3",
+                     "--head-units", "8", "--max-epochs", "5", "--batch-size", "8",
+                     "--val-fraction", "0.3", "--dropout-rate", "0.0",
+                     "--test-fraction", "0"])
         assert code == 1
         assert (run / "config.snapshot").exists()
         assert (run / "history.csv").exists()
         assert not (run / "checkpoint.pfnn").exists()
 
-    def test_divergent_rerun_leaves_no_stale_artifacts(self, tmp_path):
-        import warnings
+    @pytest.mark.parametrize("lambda_fs", ["1e305", "1e308"])
+    def test_overflowing_lambda_fs_is_one_error_line_and_a_finite_history(self, tmp_path, capsys,
+                                                                         lambda_fs):
+        # Adam's second moment overflows; any numpy warning would fail the suite
+        data = tmp_path / "d.mids"
+        assert main(["gen-data", "--counts", "20,20,20", "--side", "8", "--seed", "1",
+                     "--out", str(data)]) == 0
+        run = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(run), "--conv-widths", "2",
+                     "--head-units", "8", "--max-epochs", "3", "--batch-size", "8",
+                     "--lambda-fs", lambda_fs]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'conv1/kernel'" in err[0]
+        history = read_history(run / "history.csv")
+        assert all(math.isfinite(v) for rec in history for v in astuple(rec))
 
+    def test_divergent_rerun_leaves_no_stale_artifacts(self, tmp_path):
         data = tmp_path / "d.mids"
         assert main(["gen-data", "--counts", "6,6,6", "--side", "8", "--seed", "13",
                      "--out", str(data)]) == 0
@@ -198,19 +212,15 @@ class TestTrain:
         diverge = ["--max-epochs", "5", "--learning-rate", "1e200"]
         assert main([*args, "--data", str(data), "--max-epochs", "2"]) == 0
         assert (run / "manifest.txt").exists() and (run / "test.mids").exists()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main([*args, "--data", str(data), *diverge]) == 1
-            # the old manifest, checkpoint and splits are gone with the old run
-            assert sorted(p.name for p in run.iterdir()) == ["config.snapshot", "history.csv", "run.log"]
-            # but an input that sits in the run directory under a split's name stays
-            shutil.copy(data, run / "train.mids")
-            assert main([*args, "--data", str(run / "train.mids"), *diverge]) == 1
+        assert main([*args, "--data", str(data), *diverge]) == 1
+        # the old manifest, checkpoint and splits are gone with the old run
+        assert sorted(p.name for p in run.iterdir()) == ["config.snapshot", "history.csv", "run.log"]
+        # but an input that sits in the run directory under a split's name stays
+        shutil.copy(data, run / "train.mids")
+        assert main([*args, "--data", str(run / "train.mids"), *diverge]) == 1
         assert (run / "train.mids").read_bytes() == data.read_bytes()
 
     def test_divergent_rerun_drops_old_eval_pca_and_gradcam_outputs(self, tmp_path, capsys):
-        import warnings
-
         data = tmp_path / "d.mids"
         assert main(["gen-data", "--counts", "8,8,8", "--side", "8", "--seed", "13",
                      "--out", str(data)]) == 0
@@ -225,9 +235,7 @@ class TestTrain:
         for sub in ("eval", "pca", "gradcam"):
             assert any((run / sub).iterdir())
         (run / "notes.txt").write_text("kept\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main([*args, "--max-epochs", "5", "--learning-rate", "1e200"]) == 1
+        assert main([*args, "--max-epochs", "5", "--learning-rate", "1e200"]) == 1
         # every file the three commands wrote is gone, and with them their directories
         assert sorted(p.name for p in run.iterdir()) == [
             "config.snapshot", "history.csv", "notes.txt", "run.log"]
@@ -533,6 +541,8 @@ class TestConfigRange:
         ("--learning-rate", "-0.5", "learning_rate"),
         ("--learning-rate", "nan", "learning_rate"),
         ("--seed", "-1", "seed"),
+        ("--lambda-fs", "inf", "lambda_fs"),
+        ("--min-delta", "nan", "min_delta"),
     ])
     def test_bad_value_leaves_an_existing_run_untouched(self, mini, tmp_path, capsys, flag, value, key):
         data, run = mini

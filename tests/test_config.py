@@ -110,7 +110,8 @@ def test_unknown_key_and_bad_fraction_rejected(tmp_path):
     ("learning_rate", "0"), ("learning_rate", "-0.5"), ("learning_rate", "nan"),
     ("learning_rate", "inf"), ("batch_size", "0"), ("max_epochs", "0"), ("rlrop_patience", "0"),
     ("early_stop_patience", "0"), ("rlrop_factor", "1.0"), ("val_fraction", "0"),
-    ("lambda_fs", "-0.1"), ("lambda_fs", "nan"), ("test_fraction", "-0.1"),
+    ("lambda_fs", "-0.1"), ("lambda_fs", "nan"), ("lambda_fs", "inf"), ("min_delta", "-5"),
+    ("min_delta", "nan"), ("min_delta", "inf"), ("test_fraction", "-0.1"),
 ])
 def test_out_of_range_value_is_a_config_error_naming_the_key(key, value):
     with pytest.raises(ConfigError, match=f"^{key} must"):

@@ -1,6 +1,7 @@
 """Metric battery against brute-force counting and all-pairs AUC oracles."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from pfnn.evalkit import (
     confusion,
     overfit_deltas,
     parse_report,
-    report_to_dict,
     roc_curve,
     write_report,
     write_scatter_pairs,
@@ -198,7 +198,7 @@ class TestReportFiles:
         assert parse_report(path) == report
 
     def test_dict_key_order_is_pinned(self):
-        data = report_to_dict(self.build())
+        data = asdict(self.build())
         assert list(data) == [
             "model", "split", "class_names", "precision", "recall", "f1", "support",
             "accuracy", "loss", "macro_f1", "f1_mean", "f1_std", "recall_mean",
@@ -230,7 +230,7 @@ class TestReportFiles:
         assert fragment in str(caught.value)
 
     def test_roc_curve_missing_field_is_a_value_error(self, tmp_path):
-        data = report_to_dict(self.build())
+        data = asdict(self.build())
         del data["roc"]["benign"]["auc"]
         path = tmp_path / "report.json"
         path.write_text(json.dumps(data))

@@ -102,19 +102,19 @@ class TestSeVector:
         assert compressed_units(6, 16) == 8
 
     def test_zero_params_halve_input(self):
-        u = Tensor(np.arange(32.0))
+        u = Tensor(np.arange(32.0)[None])
         np.testing.assert_allclose(sevector(u, *zero_gate(32)).data, 0.5 * u.data)
 
     def test_output_never_exceeds_input_magnitude(self):
         rng = np.random.default_rng(5)
         params = random_gate(rng, 16, 4)
         for _ in range(10):
-            u = Tensor(rng.uniform(-3, 3, 16))
+            u = Tensor(rng.uniform(-3, 3, (1, 16)))
             out = sevector(u, *params)
             assert np.all(np.abs(out.data) <= np.abs(u.data) + 1e-15)
 
     def test_large_positive_bias_opens_gate(self):
-        u = Tensor(np.linspace(-2, 2, 16))
+        u = Tensor(np.linspace(-2, 2, 16)[None])
         out = sevector(u, *zero_gate(16, b2=30.0))
         gate = out.data / np.where(u.data == 0, 1.0, u.data)
         assert np.all(gate[u.data != 0] > 1 - 1e-9)
@@ -133,7 +133,7 @@ class TestSeVector:
     def test_width_mismatch_rejected(self):
         params = random_gate(np.random.default_rng(0), 16, 4)
         with pytest.raises(ShapeError, match="matmul"):
-            sevector(Tensor(np.zeros(12)), *params)
+            sevector(Tensor(np.zeros((1, 12))), *params)
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(6)
@@ -141,8 +141,8 @@ class TestSeVector:
         batch = rng.uniform(-1, 1, (5, 10))
         batched = sevector(Tensor(batch), *params).data
         for i in range(5):
-            single = sevector(Tensor(batch[i]), *params).data
-            np.testing.assert_allclose(batched[i], single, atol=1e-15)
+            single = sevector(Tensor(batch[i:i + 1]), *params).data
+            np.testing.assert_allclose(batched[i:i + 1], single, atol=1e-15)
 
 
 class TestBuildModel:
