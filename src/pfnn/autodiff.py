@@ -8,8 +8,10 @@ dropout and batch normalization. The losses are single nodes of their
 own (``pfnn.losses``).
 
 conv2d is im2col convolution: one GEMM of the (kh, kw, Cin) patch matrix
-with the flattened kernel per pass. batch_norm is a single op with the
-closed-form backward, one affine pass in inference. Leading-axis sums
+with the flattened kernel for the output and for the kernel gradient; the
+input gradient runs one GEMM per kernel tap over blocks of whole images.
+batch_norm is a single op with the closed-form backward, one affine pass
+in inference, and takes the ReLU after it as a flag. Leading-axis sums
 (bias grads, batchnorm channel sums, average pooling) are BLAS
 vector-matrix products, deterministic for a fixed BLAS thread count.
 
@@ -26,6 +28,7 @@ distinct graphs may run on distinct threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -217,26 +220,41 @@ def global_avg_pool(x) -> Tensor:
     return _make(np.ones(h * w) @ x.data.reshape(n, h * w, c) / (h * w), "gap", (x,), vjp)
 
 
+def _max_middle(a: np.ndarray) -> np.ndarray:
+    """(N, P, C) -> (N, C) max over P, by halving P: every np.maximum runs
+    over a contiguous (rows * C) stretch per image, where a reduction over
+    the middle axis loops C elements at a time."""
+    while a.shape[1] > 1:
+        half = a.shape[1] // 2
+        folded = np.maximum(a[:, :half], a[:, half:2 * half])
+        if a.shape[1] % 2:
+            np.maximum(folded[:, :1], a[:, 2 * half:], out=folded[:, :1])
+        a = folded
+    return a[:, 0]
+
+
 def global_max_pool(x) -> Tensor:
     """(N, H, W, C) -> (N, C) per-channel spatial max.
 
     Gradient routes to the first maximal element in row-major (H, W)
-    order when the max is tied.
+    order when the max is tied. The forward takes the max alone; only
+    backward finds where it sits. A max is exact in any order, so it
+    equals the first maximal element as a number; only the sign of a
+    zero max may differ, on a channel holding -0.0, which relu never
+    emits.
     """
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ShapeError(f"global_max_pool: expects rank-4 (N,H,W,C), got {x.shape}")
     n, h, w, c = x.shape
     flat = x.data.reshape(n, h * w, c)
-    idx = flat.argmax(axis=1)
-    out = np.take_along_axis(flat, idx[:, None, :], axis=1)[:, 0, :]
 
     def vjp(g):
         buf = np.zeros_like(flat)
-        np.put_along_axis(buf, idx[:, None, :], g[:, None, :], axis=1)
+        np.put_along_axis(buf, flat.argmax(axis=1)[:, None, :], g[:, None, :], axis=1)
         return (buf.reshape(x.shape),)
 
-    return _make(out, "gmp", (x,), vjp)
+    return _make(_max_middle(flat), "gmp", (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +267,60 @@ def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * xp.shape[3])
 
 
+def _pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Zero-pad H and W for a same-size kh x kw convolution, the extra row
+    and column of an even kernel after."""
+    n, h, w, c = x.shape
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    xp = np.zeros((n, h + kh - 1, w + kw - 1, c))
+    xp[:, pt:pt + h, pl:pl + w, :] = x
+    return xp
+
+
+# Output pixels per block of conv2d's input-gradient tap loop: 4 images at
+# side 32, so each tap product and the dx block it adds into stay in cache.
+CONV_DX_BLOCK_PIXELS = 4096
+
+
+def _image_blocks(n: int, pixels: int) -> list[tuple[int, int]]:
+    """(start, length) of the whole-image blocks of conv2d's dx tap loop.
+
+    A block holds about ``CONV_DX_BLOCK_PIXELS`` rows, rounded down to a
+    multiple of 16, and a tail of less than half a block joins the block
+    before it. OpenBLAS rounds the last rows of a product differently
+    when their count is not a multiple of its unroll (seen at odd H*W),
+    and for Cout >= 32 the SkylakeX small-matrix kernel that takes a
+    short product (seen at 64 rows) rounds every row differently. With
+    the two rules every tap row is bit-identical to the row of one
+    product over the whole gradient, on one numpy build, OpenBLAS kernel
+    and BLAS thread: checked on SkylakeX and Haswell. With more BLAS
+    threads OpenBLAS splits a product's rows between the threads by its
+    size, and the rows at the split of the whole product can round
+    differently: seen at 2 threads for sides 22, 26, ..., 38 (H*W = 4
+    mod 16) on Haswell and side 30 with Cout 64 on SkylakeX, never when
+    H*W is a multiple of 16.
+    """
+    unit = 16 // math.gcd(pixels, 16)  # images per 16 rows
+    block = max(unit, CONV_DX_BLOCK_PIXELS // max(1, pixels) // unit * unit)
+    starts = list(range(0, n, block))
+    if len(starts) > 1 and n - starts[-1] < block / 2:
+        starts.pop()
+    return [(start, stop - start) for start, stop in zip(starts, starts[1:] + [n])]
+
+
 def conv2d(x, kernel) -> Tensor:
     """Stride-1 2-D convolution, channel-last, zero-padded to keep H and W.
 
     x: (N, H, W, Cin); kernel: (kh, kw, Cin, Cout). An even kernel pads
     one more row (column) after than before.
+
+    Backward: dk is one GEMM of the rebuilt patch matrix with the whole
+    output gradient, since it sums over every row. dx adds one
+    (rows, Cout) @ (Cout, Cin) product per kernel tap, in (di, dj) order,
+    straight into the unpadded (N, H, W, Cin) gradient; the parts of a
+    tap that fall in the padding are never added. The tap loop runs over
+    blocks of whole images (``_image_blocks``), so each product and the
+    dx block it adds into stay in cache.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim != 4:
@@ -267,23 +334,27 @@ def conv2d(x, kernel) -> Tensor:
             f"conv2d: input channels {cin} != kernel channels {kcin} (input {x.shape}, kernel {kernel.shape})"
         )
     pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    pad = ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0))
-    out = (_im2col(np.pad(x.data, pad), kh, kw) @ kernel.data.reshape(-1, cout)).reshape(n, h, w, cout)
+    out = (_im2col(_pad_same(x.data, kh, kw), kh, kw) @ kernel.data.reshape(-1, cout)).reshape(n, h, w, cout)
 
     # the patch matrix is kh*kw times the input, so backward rebuilds it
     # instead of keeping it alive with the graph
     def vjp(g):
         dk = dx = None
         if kernel.requires_grad:
-            dk = (_im2col(np.pad(x.data, pad), kh, kw).T @ g.reshape(-1, cout)).reshape(kernel.shape)
+            dk = (_im2col(_pad_same(x.data, kh, kw), kh, kw).T @ g.reshape(-1, cout)).reshape(kernel.shape)
         if x.requires_grad:
-            g2 = g.reshape(-1, cout)
-            dxp = np.zeros((n, h + kh - 1, w + kw - 1, cin))
-            for di in range(kh):
-                for dj in range(kw):
-                    tap = g2 @ kernel.data[di, dj].T
-                    dxp[:, di:di + h, dj:dj + w, :] += tap.reshape(n, h, w, cin)
-            dx = np.ascontiguousarray(dxp[:, pt:pt + h, pl:pl + w, :])
+            dx = np.zeros(x.shape)
+            for start, block in _image_blocks(n, h * w):
+                g_rows = g[start:start + block].reshape(-1, cout)
+                dx_block = dx[start:start + block]
+                for di in range(kh):
+                    # output row i takes tap row i - di + pt, where that row exists
+                    i0, i1 = max(0, di - pt), min(h, h + di - pt)
+                    for dj in range(kw):
+                        j0, j1 = max(0, dj - pl), min(w, w + dj - pl)
+                        tap = (g_rows @ kernel.data[di, dj].T).reshape(-1, h, w, cin)
+                        dx_block[:, i0:i1, j0:j1, :] += \
+                            tap[:, i0 - di + pt:i1 - di + pt, j0 - dj + pl:j1 - dj + pl, :]
         return (dx, dk)
 
     return _make(out, "conv2d", (x, kernel), vjp)
@@ -326,8 +397,9 @@ class BatchNormState:
         self.running_var = m * self.running_var + (1.0 - m) * batch_var
 
 
-def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False) -> Tensor:
-    """Normalize per channel (last axis) over all other axes, then scale/shift.
+def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False, relu: bool = False) -> Tensor:
+    """Normalize per channel (last axis) over all other axes, then scale/shift,
+    then, with ``relu``, clamp at zero.
 
     Training mode normalizes by the batch statistics and folds them into
     the running averages. Inference mode is one affine pass with the
@@ -337,6 +409,13 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False) ->
     2015, section 3), with d = g * gamma:
     dx = inv_std * (d - mean(d) - x_hat * mean(d * x_hat)) in training,
     dx = inv_std * d in inference; dgamma = sum(g * x_hat), dbeta = sum(g).
+
+    ``relu`` clamps the op's own output in place, and backward first
+    masks g by ``out > 0``, which holds exactly where the unclamped value
+    is > 0: the bytes of ``relu(batch_norm(...))``, one pass fewer each way.
+    A rank-4 (N, H, W, C) input runs every per-channel multiply and add on
+    its (N*H, W*C) view with the C-vector tiled W times, so numpy's inner
+    loops run W*C long instead of C; the channel sums stay whole-array.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     c = x.shape[-1]
@@ -346,35 +425,49 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False) ->
         )
     lead = x.data.ndim - 1
     count = x.size // c
+    reps = x.shape[2] if x.data.ndim == 4 else 1
+    rows = x.shape[0] * x.shape[1] if x.data.ndim == 4 else count
+
+    def rowwise(a: np.ndarray) -> np.ndarray:
+        return a.reshape(rows, reps * c)
+
+    def tiled(v: np.ndarray) -> np.ndarray:
+        return np.tile(v, reps)
+
     if training:
         mu = _sum_leading(x.data, lead) / count
-        out = x.data - mu
-        var = _sum_leading(out * out, lead) / count
+        out = rowwise(x.data) - tiled(mu)
+        var = _sum_leading((out * out).reshape(x.shape), lead) / count
         state.update(mu, var)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        out *= inv_std
-        out *= gamma.data
-        out += beta.data
+        out *= tiled(inv_std)
+        out *= tiled(gamma.data)
+        out += tiled(beta.data)
     else:  # one affine pass with the running statistics as constants
         mu = state.running_mean
         inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
-        out = x.data * (gamma.data * inv_std)
-        out += beta.data - mu * (gamma.data * inv_std)
+        out = rowwise(x.data) * tiled(gamma.data * inv_std)
+        out += tiled(beta.data - mu * (gamma.data * inv_std))
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    out = out.reshape(x.shape)
 
     def vjp(g):
-        x_hat = x.data - mu
-        x_hat *= inv_std
+        if relu:
+            g = g * (out > 0)
+        x_hat = rowwise(x.data) - tiled(mu)
+        x_hat *= tiled(inv_std)
         dbeta = _sum_leading(g, lead)
-        dgamma = _sum_leading(g * x_hat, lead)
+        dgamma = _sum_leading((rowwise(g) * x_hat).reshape(x.shape), lead)
         if training:
             dx = x_hat
-            dx *= dgamma / count
-            np.subtract(g, dx, out=dx)
-            dx -= dbeta / count
-            dx *= gamma.data * inv_std
+            dx *= tiled(dgamma / count)
+            np.subtract(rowwise(g), dx, out=dx)
+            dx -= tiled(dbeta / count)
+            dx *= tiled(gamma.data * inv_std)
         else:
-            dx = g * (gamma.data * inv_std)
-        return (dx, dgamma, dbeta)
+            dx = rowwise(g) * tiled(gamma.data * inv_std)
+        return (dx.reshape(x.shape), dgamma, dbeta)
 
     return _make(out, "batch_norm", (x, gamma, beta), vjp)
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
+from .blas import blas_environment
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
     CONFIG_KEYS,
@@ -159,7 +160,8 @@ def cmd_train(args) -> int:
     for sub in ("eval", "pca", "gradcam"):
         with contextlib.suppress(OSError):
             (run_dir / sub).rmdir()  # only when pfnn's outputs were all it held
-    _log(run_dir, f"train start: data={args.data} seed={exp.seed}")
+    # what the run's bytes depend on besides its inputs; run.log is never hashed
+    _log(run_dir, f"train start: data={args.data} seed={exp.seed} {blas_environment()}")
 
     if exp.test_fraction > 0:
         pool, test_set = stratified_split(data, exp.test_fraction, exp.seed, ("trainpool", "test"))

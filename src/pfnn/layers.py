@@ -165,8 +165,7 @@ class ModelSpec:
             # no conv bias: the batchnorm after it subtracts the channel mean
             t = conv2d(t, self.params[f"conv{i}/kernel"])
             t = batch_norm(t, self.params[f"bn{i}/gamma"], self.params[f"bn{i}/beta"],
-                           self.bn[f"bn{i}"], training)
-            t = relu(t)
+                           self.bn[f"bn{i}"], training, relu=True)
             captures[f"conv{i}_relu"] = t
 
         if self.config.enable_gagm:

@@ -164,9 +164,14 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float) -> None
 class Plateau:
     """Patience counter over a monitored loss: ``step`` fires after
     ``patience`` epochs in a row without the loss improving by more than
-    ``min_delta`` on the best seen, and the wait counter resets when it fires."""
+    ``min_delta`` on the best seen, and the wait counter resets when it fires.
+    ``patience`` must be >= 1 and ``min_delta`` finite and >= 0."""
 
     def __init__(self, patience: int, min_delta: float = 1e-4):
+        if patience < 1:
+            raise ValueError(f"patience must be >= 1, got {patience}")
+        if not (math.isfinite(min_delta) and min_delta >= 0):
+            raise ValueError(f"min_delta must be finite and >= 0, got {min_delta}")
         self.patience = patience
         self.min_delta = min_delta
         self.best = math.inf

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (nested
 loops, all-pairs counting, library eigensolver) and never calls the
-code paths it checks.
+code paths it checks. The op forms an optimisation replaced
+(``conv2d_dx_padded``, ``batch_norm_then_relu``) are kept in their old
+arithmetic order, so the new forms must match them byte for byte.
 """
 
 from __future__ import annotations
@@ -50,6 +52,75 @@ def conv2d_direct(x: np.ndarray, k: np.ndarray) -> np.ndarray:
                                 acc += x[b, i + di, j + dj, ci] * k[di, dj, ci, co]
                     out[b, i, j, co] = acc
     return out
+
+
+def conv2d_dx_padded(g: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """conv2d's input gradient for output gradient ``g``: one product per
+    tap over every gradient row, added in (di, dj) order into a padded
+    buffer, cropped at the end."""
+    n, h, w, cout = g.shape
+    kh, kw, cin, _ = k.shape
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    g2 = g.reshape(-1, cout)
+    dxp = np.zeros((n, h + kh - 1, w + kw - 1, cin))
+    for di in range(kh):
+        for dj in range(kw):
+            dxp[:, di:di + h, dj:dj + w, :] += (g2 @ k[di, dj].T).reshape(n, h, w, cin)
+    return np.ascontiguousarray(dxp[:, pt:pt + h, pl:pl + w, :])
+
+
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Per-channel sum as batch_norm takes it: one ones-vector @ (rows, C) product."""
+    return np.ones(a.size // a.shape[-1]) @ a.reshape(-1, a.shape[-1])
+
+
+def batch_norm_then_relu(x, gamma, beta, running_mean, running_var, training: bool,
+                         g: np.ndarray, eps: float):
+    """relu(batch_norm(x)) as two ops, every per-channel vector broadcast
+    over the whole input: (output, dx, dgamma, dbeta) for the output
+    gradient ``g``."""
+    count = x.size // x.shape[-1]
+    if training:
+        mu = _channel_sum(x) / count
+        out = x - mu
+        inv_std = 1.0 / np.sqrt(_channel_sum(out * out) / count + eps)
+        out *= inv_std
+        out *= gamma
+        out += beta
+    else:
+        mu, inv_std = running_mean, 1.0 / np.sqrt(running_var + eps)
+        out = x * (gamma * inv_std)
+        out += beta - mu * (gamma * inv_std)
+    g = g * (out > 0)  # relu's vjp, on the batchnorm output
+    x_hat = x - mu
+    x_hat *= inv_std
+    dbeta = _channel_sum(g)
+    dgamma = _channel_sum(g * x_hat)
+    if training:
+        dx = x_hat
+        dx *= dgamma / count
+        np.subtract(g, dx, out=dx)
+        dx -= dbeta / count
+        dx *= gamma * inv_std
+    else:
+        dx = g * (gamma * inv_std)
+    return np.maximum(out, 0.0), dx, dgamma, dbeta
+
+
+def global_max_pool_first(x: np.ndarray, g: np.ndarray):
+    """(per-channel spatial max, gradient) of an (N, H, W, C) input, one
+    channel at a time: the value at the first maximal element in row-major
+    (H, W) order, and ``g`` routed to that element alone."""
+    n, h, w, c = x.shape
+    flat = x.reshape(n, h * w, c)
+    out = np.zeros((n, c))
+    grad = np.zeros_like(flat)
+    for b in range(n):
+        for ch in range(c):
+            first = int(np.argmax(flat[b, :, ch]))
+            out[b, ch] = flat[b, first, ch]
+            grad[b, first, ch] = g[b, ch]
+    return out, grad.reshape(x.shape)
 
 
 def fsl_two_loop(features: np.ndarray, labels: np.ndarray) -> float:

@@ -147,6 +147,27 @@ def _op_builders():
 
     builders["batch_norm"] = builder_batchnorm
 
+    def batchnorm_relu_builder(training):
+        def builder(rng):
+            x = Tensor(rng.uniform(-2, 2, (2, 3, 4, 3)), requires_grad=True)
+            gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
+            beta = Tensor(rng.uniform(-0.5, 0.5, 3), requires_grad=True)
+            w = Tensor(rng.uniform(-1, 1, (2, 3, 4, 3)))
+            running_mean, running_var = rng.uniform(-0.5, 0.5, 3), rng.uniform(0.5, 2.0, 3)
+
+            def forward():
+                state = BatchNormState(3)
+                state.running_mean, state.running_var = running_mean.copy(), running_var.copy()
+                out = batch_norm(x, gamma, beta, state, training=training, relu=True)
+                return reduce_sum(mul(out, w))
+
+            return forward, {"x": x, "gamma": gamma, "beta": beta}
+
+        return builder
+
+    builders["batch_norm_relu_training"] = batchnorm_relu_builder(True)
+    builders["batch_norm_relu_inference"] = batchnorm_relu_builder(False)
+
     def builder_cross_entropy(rng):
         logits = Tensor(rng.uniform(-2, 2, (6, 3)), requires_grad=True)
         labels = rng.integers(0, 3, 6)

@@ -6,8 +6,10 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import conv2d_direct, fd_gradient, rel_err
+from oracles import batch_norm_then_relu, conv2d_direct, conv2d_dx_padded, fd_gradient, \
+    global_max_pool_first, rel_err
 
+from pfnn import autodiff
 from pfnn.autodiff import (
     BN_EPS,
     BatchNormState,
@@ -352,6 +354,27 @@ class TestBatchNorm:
             assert rel_err(t.grad, fd_gradient(forward, t.data)) < 1e-4
 
     @pytest.mark.parametrize("training", [True, False], ids=["training", "inference"])
+    def test_rank4_relu_gradient(self, training):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.uniform(-2, 2, (3, 4, 5, 2)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 2), requires_grad=True)
+        beta = Tensor(rng.uniform(-0.5, 0.5, 2), requires_grad=True)
+        weights = rng.uniform(-1, 1, (3, 4, 5, 2))
+
+        def clamped():
+            state = BatchNormState(2)
+            state.running_mean, state.running_var = np.array([0.3, -0.2]), np.array([1.7, 0.6])
+            return batch_norm(x, gamma, beta, state, training=training, relu=True)
+
+        def forward():
+            return reduce_sum(mul(clamped(), Tensor(weights)))
+
+        assert (clamped().data == 0).any() and (clamped().data > 0).any()  # both sides of the kink
+        backward(forward())
+        for t in (x, gamma, beta):
+            assert rel_err(t.grad, fd_gradient(forward, t.data)) < 1e-4
+
+    @pytest.mark.parametrize("training", [True, False], ids=["training", "inference"])
     def test_output_matches_composite_formula(self, training):
         rng = np.random.default_rng(15)
         x = rng.uniform(-3, 3, (4, 5, 5, 3))
@@ -400,6 +423,118 @@ class TestBatchNorm:
         x = Tensor(np.array([[3.0, 2.0]]))
         out = batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=False)
         np.testing.assert_allclose(out.data, [[2.0 / np.sqrt(4.0 + 1e-5), 3.0 / np.sqrt(9.0 + 1e-5)]])
+
+
+class TestFusedAndBlockedOpsAreBitIdentical:
+    """The fused and blocked op forms against the forms they replaced,
+    byte for byte (``np.array_equal``, no tolerance)."""
+
+    @staticmethod
+    def bn_inputs(shape, seed):
+        rng = np.random.default_rng(seed)
+        c = shape[-1]
+        x = rng.uniform(-2, 2, shape)
+        gamma, beta = rng.uniform(0.5, 1.5, c), rng.uniform(-0.5, 0.5, c)
+        running = rng.uniform(-1, 1, c), rng.uniform(0.5, 2, c)
+        return x, gamma, beta, running, rng.uniform(-1, 1, shape)
+
+    @staticmethod
+    def bn_state(running):
+        state = BatchNormState(len(running[0]))
+        state.running_mean, state.running_var = running[0].copy(), running[1].copy()
+        return state
+
+    @pytest.mark.parametrize("shape", [(5, 6, 7, 4), (3, 4, 4, 16), (12, 3), (1, 1, 1, 2)],
+                             ids=["rank4", "rank4-c16", "rank2", "rank4-one-pixel"])
+    @pytest.mark.parametrize("training", [True, False], ids=["training", "inference"])
+    def test_batch_norm_relu_matches_batch_norm_then_relu(self, shape, training):
+        x, gamma, beta, running, g = self.bn_inputs(shape, seed=sum(shape))
+        results = []
+        for fused in (True, False):
+            tensors = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+            state = self.bn_state(running)
+            if fused:
+                out = batch_norm(*tensors, state, training=training, relu=True)
+            else:
+                out = relu(batch_norm(*tensors, state, training=training))
+            backward(reduce_sum(mul(out, Tensor(g))))
+            results.append([out.data] + [t.grad for t in tensors]
+                           + [state.running_mean, state.running_var])
+        expected = batch_norm_then_relu(x, gamma, beta, *running, training, g, BN_EPS)
+        for fused_part, separate_part in zip(*results):
+            assert np.array_equal(fused_part, separate_part)
+        for got, want in zip(results[0], expected):
+            assert np.array_equal(got, want)
+
+    def test_batch_norm_relu_mask_is_the_pre_clamp_sign_with_nan(self):
+        x = np.array([[[[np.nan, 1.0], [-1.0, 0.0]]]])
+        g = np.full(x.shape, 2.0)
+        running = np.zeros(2), np.ones(2)
+        xt = Tensor(x, requires_grad=True)
+        out = batch_norm(xt, Tensor(np.ones(2)), Tensor(np.zeros(2)), self.bn_state(running), relu=True)
+        backward(reduce_sum(mul(out, Tensor(g))))
+        expected = batch_norm_then_relu(x, np.ones(2), np.zeros(2), *running, False, g, BN_EPS)
+        np.testing.assert_array_equal(out.data, expected[0])
+        np.testing.assert_array_equal(xt.grad, expected[1])
+
+    @pytest.mark.parametrize("n", [1, 5, 9, 44])
+    @pytest.mark.parametrize("side", [5, 7, 6])
+    @pytest.mark.parametrize("k", [2, 3], ids=["even-k", "odd-k"])
+    @pytest.mark.parametrize("cin", [1, 3])
+    def test_conv2d_dx_matches_padded_buffer_loop(self, monkeypatch, n, side, k, cin):
+        # ~10 images a block, which the multiple-of-16-rows rule makes 16 at
+        # odd H*W and 8 at side 6; 44 images end in a partial block
+        monkeypatch.setattr(autodiff, "CONV_DX_BLOCK_PIXELS", 10 * side * side + 3)
+        assert (len(autodiff._image_blocks(n, side * side)) > 1) == (n == 44)
+        rng = np.random.default_rng(n * 100 + side * 10 + k + cin)
+        x = Tensor(rng.uniform(-1, 1, (n, side, side, cin)), requires_grad=True)
+        kernel = Tensor(rng.uniform(-1, 1, (k, k, cin, 8)), requires_grad=True)
+        g = rng.uniform(-1, 1, (n, side, side, 8))
+        backward(reduce_sum(mul(conv2d(x, kernel), Tensor(g))))
+        assert np.array_equal(x.grad, conv2d_dx_padded(g, kernel.data))
+
+    @pytest.mark.parametrize("n,side,cin,cout", [
+        (1, 32, 8, 16), (5, 32, 8, 16), (9, 32, 8, 16), (11, 32, 8, 16), (16, 32, 8, 16),
+        (65, 8, 8, 32), (66, 8, 3, 64),
+    ])
+    def test_conv2d_dx_matches_padded_buffer_loop_at_full_block_size(self, n, side, cin, cout):
+        # side 32 runs blocks of 4 images, so 11 is 4 + 4 + a partial 3. At
+        # side 8 a block is 64 images, and the 1- or 2-image tail joins it:
+        # alone, its product is short enough for SkylakeX's small-matrix
+        # kernel, which rounds differently from Cout 32 on
+        rng = np.random.default_rng(n)
+        x = Tensor(rng.uniform(-1, 1, (n, side, side, cin)), requires_grad=True)
+        kernel = Tensor(rng.uniform(-1, 1, (3, 3, cin, cout)))
+        g = rng.uniform(-1, 1, (n, side, side, cout))
+        backward(reduce_sum(mul(conv2d(x, kernel), Tensor(g))))
+        assert np.array_equal(x.grad, conv2d_dx_padded(g, kernel.data))
+
+    @pytest.mark.parametrize("n,pixels", [(1, 1024), (16, 1024), (11, 1024), (9, 1024), (5, 25),
+                                          (500, 25), (333, 36), (7, 9409), (4097, 1), (0, 1024)])
+    def test_dx_blocks_are_whole_images_in_multiples_of_16_rows(self, n, pixels):
+        blocks = autodiff._image_blocks(n, pixels)
+        assert [start for start, _ in blocks] == list(np.cumsum([0] + [b for _, b in blocks])[:-1])
+        assert sum(b for _, b in blocks) == n
+        for _, length in blocks[:-1]:
+            assert length * pixels % 16 == 0
+            assert length * pixels <= max(autodiff.CONV_DX_BLOCK_PIXELS, 16 * pixels)
+        if len(blocks) > 1:  # a short tail joins the block before it
+            assert blocks[-1][1] >= blocks[0][1] / 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_global_max_pool_matches_first_max_gather_with_ties(self, seed):
+        # quantized relu outputs: many channels tie, several at an all-zero max
+        rng = np.random.default_rng(seed)
+        x = np.maximum(rng.integers(-4, 3, (6, 5, 7, 3)), 0).astype(np.float64)
+        x[0, :, :, 0] = 0.0
+        g = rng.uniform(-1, 1, (6, 3))
+        xt = Tensor(x, requires_grad=True)
+        out = global_max_pool(xt)
+        backward(reduce_sum(mul(out, Tensor(g))))
+        expected_out, expected_grad = global_max_pool_first(x, g)
+        assert np.array_equal(out.data, expected_out)
+        assert not np.signbit(out.data).any()
+        assert np.array_equal(xt.grad, expected_grad)
 
 
 class TestGradCheck:

@@ -8,11 +8,14 @@ import shutil
 import struct
 import warnings
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from pfnn import blas, cli
 from pfnn.autodiff import Tensor
+from pfnn.blas import openblas_kernel, openblas_threads
 from pfnn.checkpoint import load_checkpoint, save_checkpoint
 from pfnn.cli import main
 from pfnn.config import experiment_from_mapping, read_kv_file
@@ -116,6 +119,30 @@ class TestTrain:
                      "--config", str(run / "config.snapshot")]) == 0
         assert (rerun / "history.csv").read_bytes() == (run / "history.csv").read_bytes()
         assert sha256(rerun / "checkpoint.pfnn") == sha256(run / "checkpoint.pfnn")
+
+    def test_run_log_records_numpy_and_the_openblas_kernel_and_threads(self, mini):
+        _, run = mini
+        start = next(line for line in (run / "run.log").read_text().splitlines() if "train start:" in line)
+        assert start.endswith(f" numpy={np.__version__} openblas_kernel={openblas_kernel()} "
+                              f"blas_threads={openblas_threads()}")
+        assert openblas_kernel() != "unknown" and int(openblas_threads()) >= 1
+
+    def test_blas_environment_reaches_run_log_only(self, mini, tmp_path, monkeypatch):
+        data, run = mini
+        monkeypatch.setattr(cli, "blas_environment", lambda: "numpy=0 openblas_kernel=Other blas_threads=7")
+        rerun = tmp_path / "rerun"
+        assert main(["train", "--data", str(data), "--out", str(rerun),
+                     "--config", str(run / "config.snapshot")]) == 0
+        for name in ("manifest.txt", "history.csv", "checkpoint.pfnn"):
+            assert (rerun / name).read_bytes() == (run / name).read_bytes(), name
+        assert "openblas_kernel=Other blas_threads=7" in (rerun / "run.log").read_text()
+
+    def test_numpy_without_bundled_openblas_logs_unknown(self, monkeypatch, tmp_path):
+        # a numpy whose package directory holds no numpy.libs/libscipy_openblas64_*.so
+        monkeypatch.setattr(blas, "np", SimpleNamespace(__file__=str(tmp_path / "numpy" / "__init__.py"),
+                                                        __version__="9.9.9"))
+        assert (openblas_kernel(), openblas_threads()) == ("unknown", "unknown")
+        assert blas.blas_environment() == "numpy=9.9.9 openblas_kernel=unknown blas_threads=unknown"
 
     def test_ablation_flags_reach_the_model(self, mini, tmp_path):
         data, _ = mini

@@ -1,16 +1,15 @@
 """Splitting, Adam, the callback schedules, and the training loop."""
 
-import ctypes
 import hashlib
 import math
 import tracemalloc
 from dataclasses import astuple
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pfnn.autodiff import Tensor, add, backward
+from pfnn.blas import openblas_kernel
 from pfnn.datagen import GenSpec, LabeledImageSet, generate
 from pfnn.layers import ModelConfig, build_model
 from pfnn.losses import total_loss
@@ -188,6 +187,35 @@ class TestEarlyStopping:
         losses = [0.5, 0.4, 0.4, 0.4]
         stop, best = early_stopping(losses, patience=3)
         assert best == 2
+
+
+class TestPlateauInputs:
+    def test_nan_min_delta_is_rejected_not_a_stop_on_improving_losses(self):
+        # an unchecked nan made every epoch a plateau epoch: (3, 3) here
+        with pytest.raises(ValueError, match="min_delta"):
+            early_stopping([1.0, 0.9, 0.8, 0.7, 0.6, 0.5], patience=3, min_delta=float("nan"))
+
+    def test_negative_min_delta_is_rejected_not_a_run_that_never_stops(self):
+        with pytest.raises(ValueError, match="min_delta"):
+            early_stopping([1.0] * 10, patience=3, min_delta=-5.0)
+
+    def test_nan_min_delta_is_rejected_not_a_cut_every_patience_epochs(self):
+        with pytest.raises(ValueError, match="min_delta"):
+            reduce_lr_on_plateau([1.0 - 0.1 * i for i in range(6)], 1.0, patience=2,
+                                 min_delta=float("nan"))
+
+    @pytest.mark.parametrize("min_delta", [float("inf"), -1e-12])
+    def test_min_delta_must_be_finite_and_non_negative(self, min_delta):
+        with pytest.raises(ValueError, match="min_delta"):
+            Plateau(patience=2, min_delta=min_delta)
+
+    @pytest.mark.parametrize("patience", [0, -1])
+    def test_patience_must_be_at_least_one(self, patience):
+        with pytest.raises(ValueError, match="patience"):
+            Plateau(patience=patience)
+
+    def test_zero_min_delta_is_accepted(self):
+        assert early_stopping([1.0, 1.0, 1.0], patience=2, min_delta=0.0) == (3, 1)
 
 
 class TestFit:
@@ -477,20 +505,11 @@ def run_digest(run, model) -> str:
     return digest.hexdigest()
 
 
-def openblas_kernel() -> str:
-    """The kernel numpy's bundled OpenBLAS picked for this CPU (or by
-    ``OPENBLAS_CORETYPE``), read from the loaded library."""
-    libs = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
-    if not libs:
-        pytest.fail("numpy's bundled OpenBLAS (numpy.libs/libscipy_openblas64_*.so) is not found")
-    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
-
-
 def golden(table: dict):
     """The entry of ``table`` taken on this process's OpenBLAS kernel."""
     kernel = openblas_kernel()
+    if kernel == "unknown":
+        pytest.fail("numpy's bundled OpenBLAS (numpy.libs/libscipy_openblas64_*.so) is not found")
     if kernel not in table:
         pytest.fail(f"no golden digests for the OpenBLAS kernel {kernel!r}: run with "
                     "OPENBLAS_CORETYPE=Haswell OPENBLAS_NUM_THREADS=1, as CI does, "
