@@ -1,11 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The op set is exactly what a small convolutional classifier needs:
-conv2d (stride 1, same padding), dense (2-D matmul + bias), relu,
-sigmoid, last-axis softmax, global average/max pooling, two-way last-axis
-concatenation, add and mul with leading-axis broadcasting, a full sum,
-dropout and batch normalization. The losses are single nodes of their
-own (``pfnn.losses``).
+conv2d (stride 1, same padding), 2-D matmul, relu, sigmoid, last-axis
+softmax, global average/max pooling, two-way last-axis concatenation,
+add and mul with leading-axis broadcasting, a full sum, dropout and
+batch normalization. The losses are single nodes of their own
+(``pfnn.losses``).
 
 conv2d is im2col convolution: one GEMM of the (kh, kw, Cin) patch matrix
 with the flattened kernel for the output and for the kernel gradient; the
@@ -154,7 +154,8 @@ def relu(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _make(s, "sigmoid", (a,), lambda g: (g * s * (1.0 - s),))
 
 

@@ -23,7 +23,6 @@ from .blas import blas_environment
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
     CONFIG_KEYS,
-    ConfigError,
     ExperimentConfig,
     experiment_from_mapping,
     experiment_to_mapping,
@@ -92,6 +91,11 @@ def _class_index(name: str, class_names) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    if args.holdout:
+        if not args.holdout_out:
+            raise ValueError("--holdout requires --holdout-out")
+        if Path(args.holdout_out).resolve() == Path(args.out).resolve():
+            raise ValueError(f"--holdout-out and --out are the same file: {args.out}")
     counts = tuple(int(c) for c in args.counts.split(","))
     spec = GenSpec(counts=counts, side=args.side, noise_level=args.noise, seed=args.seed)
     data = generate(spec)
@@ -102,8 +106,6 @@ def cmd_gen_data(args) -> int:
         target = _class_index(class_name, data.class_names)
         data = augment_to_share(data, target, float(share), seed=args.seed)
     if args.holdout:
-        if not args.holdout_out:
-            raise ValueError("--holdout requires --holdout-out")
         blind, data = holdout_extract(data, args.holdout, seed=args.seed)
         write_dataset(args.holdout_out, blind)
     write_dataset(args.out, data)
@@ -427,7 +429,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ConfigError, OSError, TrainingDiverged) as exc:
+    except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,7 @@ generation quantizes once and round-trips are bit-exact).
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -44,6 +45,8 @@ class LabeledImageSet:
         self.labels = np.ascontiguousarray(self.labels, dtype=np.uint8)
         if self.images.ndim != 4 or self.images.shape[3] != 1:
             raise ValueError(f"images must be (N,H,W,1), got {self.images.shape}")
+        if min(self.images.shape[1:3]) < 1:
+            raise ValueError(f"images must have H and W >= 1, got {self.images.shape}")
         if self.labels.shape != (self.images.shape[0],):
             raise ValueError("labels length must match image count")
         if self.labels.size and self.labels.max() >= len(self.class_names):
@@ -67,6 +70,24 @@ class GenSpec:
     spike_intensity: tuple[float, float] = (0.93, 1.0)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.side < 8:
+            raise ValueError(f"side length must be >= 8, got {self.side}")
+        if len(self.counts) != len(CLASS_NAMES) or any(c < 0 for c in self.counts):
+            raise ValueError(f"counts must be {len(CLASS_NAMES)} nonnegative integers, got {self.counts}")
+        if sum(self.counts) < 1:
+            raise ValueError("at least one class must be non-empty")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (self.noise_level >= 0 and math.isfinite(self.noise_level)):
+            raise ValueError(f"noise_level must be finite and >= 0, got {self.noise_level}")
+        for key in ("blob_intensity", "blob_radius", "spike_intensity"):
+            lo, hi = getattr(self, key)
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError(f"{key} must be finite (lo, hi) with lo <= hi, got {getattr(self, key)}")
+        if not self.blob_radius[0] > 0:
+            raise ValueError(f"blob_radius lower bound must be > 0, got {self.blob_radius}")
+
 
 # Pixels per chunk of ``generate`` (64 images at side 32, 16 at side 64).
 # Measured on 2048 images, the chunk size barely moves the rate (16-256
@@ -88,15 +109,7 @@ def generate(spec: GenSpec) -> LabeledImageSet:
     ``_CHUNK_PIXELS`` pixels in the same per-pixel order, so the bytes do not
     depend on the chunking.
     """
-    if spec.side < 8:
-        raise ValueError(f"side length must be >= 8, got {spec.side}")
-    if len(spec.counts) != len(CLASS_NAMES) or any(c < 0 for c in spec.counts):
-        raise ValueError(f"counts must be {len(CLASS_NAMES)} nonnegative integers, got {spec.counts}")
     total = int(sum(spec.counts))
-    if total < 1:
-        raise ValueError("at least one class must be non-empty")
-    if spec.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {spec.seed}")
     side = spec.side
     labels = np.repeat(np.arange(len(spec.counts), dtype=np.uint8), spec.counts)
     # each spawn continues the child count, so spawning per chunk gives the

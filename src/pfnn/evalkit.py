@@ -248,17 +248,28 @@ def parse_report(path) -> EvalReport:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
+def _cell(value):
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else value
+
+
+def write_csv(path, header, rows) -> None:
+    """The header row, then ``rows``. A float cell (``float`` or ``np.floating``)
+    is written repr-exact as ``repr(float(v))``, None as an empty cell, and
+    anything else by ``str``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def _write_table(reports, path, columns) -> None:
-    """One row per report: the model name, then each metric column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for r in reports:
-            writer.writerow([r.model, *(_fmt(getattr(r, name)) for name in columns[1:])])
+    """One row per report: the model name, then each metric column. A metric
+    that parsed from a JSON integer still prints as a float."""
+    rows = []
+    for r in reports:
+        values = (getattr(r, name) for name in columns[1:])
+        rows.append([r.model, *(v if v is None else float(v) for v in values)])
+    write_csv(path, columns, rows)
 
 
 def write_table1(reports, path) -> None:
@@ -273,15 +284,13 @@ def write_table2(reports, path) -> None:
 
 def write_scatter_pairs(reports, path) -> None:
     """Scatter-ready (x, y) rows for the metric pairs the figures plot."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "pair", "x", "y"])
-        for r in reports:
-            for x_name, y_name in SCATTER_PAIRS:
-                x, y = getattr(r, x_name), getattr(r, y_name)
-                if x is None or y is None:
-                    continue
-                writer.writerow([r.model, f"{x_name}_vs_{y_name}", _fmt(x), _fmt(y)])
+    rows = []
+    for r in reports:
+        for x_name, y_name in SCATTER_PAIRS:
+            x, y = getattr(r, x_name), getattr(r, y_name)
+            if x is not None and y is not None:
+                rows.append([r.model, f"{x_name}_vs_{y_name}", float(x), float(y)])
+    write_csv(path, ["model", "pair", "x", "y"], rows)
 
 
 def write_roc_csv(report: EvalReport, out_dir) -> list[Path]:
@@ -292,10 +301,7 @@ def write_roc_csv(report: EvalReport, out_dir) -> list[Path]:
         if curve is None:
             continue
         path = out_dir / f"roc_{report.split}_{name}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fpr", "tpr", "threshold", "auc"])
-            for fpr, tpr, thr in zip(curve.fpr, curve.tpr, curve.thresholds):
-                writer.writerow([repr(fpr), repr(tpr), repr(thr), repr(curve.auc)])
+        rows = ((fpr, tpr, thr, curve.auc) for fpr, tpr, thr in zip(curve.fpr, curve.tpr, curve.thresholds))
+        write_csv(path, ["fpr", "tpr", "threshold", "auc"], rows)
         paths.append(path)
     return paths

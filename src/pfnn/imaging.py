@@ -1,8 +1,6 @@
-"""Small image utilities: bilinear resize, a heat colormap, and PPM I/O."""
+"""Small image utilities: bilinear resize, a heat colormap, and a PPM writer."""
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
@@ -61,26 +59,3 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(rgb.tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if not raw.startswith(b"P6"):
-        raise ValueError(f"{path}: not a binary PPM")
-    fields: list[bytes] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":  # comment line
-            pos = raw.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(f) for f in fields)
-    if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
-    return np.frombuffer(raw[pos:pos + w * h * 3], dtype=np.uint8).reshape(h, w, 3).copy()

@@ -8,15 +8,15 @@ the feature covariance by LAPACK's symmetric solver (``np.linalg.eigh``).
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor, backward, mul, reduce_sum
 from .datagen import LabeledImageSet
-from .imaging import bilinear_resize, heat_colormap, to_uint8, write_ppm
+from .evalkit import write_csv
+from .imaging import bilinear_resize, heat_colormap, write_ppm
 from .layers import ModelSpec
 from .trainer import predict, predict_layers
 
@@ -114,7 +114,7 @@ def cam_case_gallery(
             overlay = cam_overlay(dataset.images[i], cam.upsampled)
             panel = np.concatenate([gray, overlay], axis=1)
             path = out_dir / f"case_{i}_{kind}.ppm"
-            write_ppm(path, to_uint8(panel))
+            write_ppm(path, panel)
             np.savetxt(out_dir / f"case_{i}_{kind}_raw.csv", cam.raw, delimiter=",")
             cases.append(CamCase(i, int(dataset.labels[i]), int(preds[i]),
                                  float(confidence[i]), kind, str(path)))
@@ -125,12 +125,7 @@ def cam_case_gallery(
         note_parts.append(f"only {len(wrong_idx)} of {n_wrong} requested misclassified cases exist")
     note = "; ".join(note_parts) if note_parts else "all requested cases emitted"
 
-    with open(out_dir / "index.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "true_label", "predicted", "confidence", "kind", "path"])
-        for case in cases:
-            writer.writerow([case.sample_id, case.true_label, case.predicted,
-                             repr(case.confidence), case.kind, case.path])
+    write_csv(out_dir / "index.csv", [f.name for f in fields(CamCase)], map(astuple, cases))
     return CamGallery(cases, note)
 
 
@@ -237,20 +232,13 @@ def select_feature_layer(model: ModelSpec, dataset: LabeledImageSet) -> FeatureL
 
 def write_variance_curve(ratios, cumulative, path) -> None:
     """CSV of component_index, ratio, cumulative for one layer's curve."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component_index", "ratio", "cumulative"])
-        for i, (r, c) in enumerate(zip(ratios, cumulative), 1):
-            writer.writerow([i, repr(float(r)), repr(float(c))])
+    write_csv(path, ["component_index", "ratio", "cumulative"],
+              zip(range(1, len(ratios) + 1), ratios, cumulative))
 
 
 def write_projections(result: PcaResult, labels, predictions, path) -> None:
     """CSV of sample_id, pc1..pcK, label, predicted."""
     k = result.projections.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id"] + [f"pc{i}" for i in range(1, k + 1)] + ["label", "predicted"])
-        for i in range(result.projections.shape[0]):
-            row = [i] + [repr(float(v)) for v in result.projections[i]]
-            row += [int(labels[i]), int(predictions[i])]
-            writer.writerow(row)
+    header = ["sample_id", *(f"pc{i}" for i in range(1, k + 1)), "label", "predicted"]
+    write_csv(path, header, ([i, *row, int(labels[i]), int(predictions[i])]
+                             for i, row in enumerate(result.projections)))

@@ -8,19 +8,17 @@ config), so identical (config, data, seed) gives bit-identical history.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
 
 from .autodiff import Tensor, backward
 from .datagen import LabeledImageSet
+from .evalkit import write_csv
 from .layers import ModelSpec
 from .losses import total_loss
-
-HISTORY_FIELDS = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc", "lr")
 
 
 class TrainingDiverged(RuntimeError):
@@ -393,19 +391,4 @@ def fit(model: ModelSpec, data: LabeledImageSet, config: TrainConfig) -> TrainRu
 
 
 def write_history(history, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_FIELDS)
-        for rec in history:
-            writer.writerow([rec.epoch, repr(rec.train_loss), repr(rec.train_acc),
-                             repr(rec.val_loss), repr(rec.val_acc), repr(rec.lr)])
-
-
-def read_history(path) -> list[EpochRecord]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [
-        EpochRecord(int(r["epoch"]), float(r["train_loss"]), float(r["train_acc"]),
-                    float(r["val_loss"]), float(r["val_acc"]), float(r["lr"]))
-        for r in rows
-    ]
+    write_csv(path, [f.name for f in fields(EpochRecord)], map(astuple, history))

@@ -7,7 +7,6 @@ import math
 import shutil
 import struct
 import warnings
-from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,11 +22,24 @@ from pfnn.datagen import LabeledImageSet, read_dataset, write_dataset
 from pfnn.evalkit import build_report, parse_report, write_report
 from pfnn.layers import ModelSpec, build_model
 from pfnn.losses import cross_entropy
-from pfnn.trainer import predict, read_history
+from pfnn.trainer import predict
 
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def is_float_cell(cell: str) -> bool:
+    """A cell that parses as a float but not as an integer."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    try:
+        int(cell)
+    except ValueError:
+        return True
+    return False
 
 
 TRAIN_ARGS = ["--conv-widths", "3", "--head-units", "8", "--max-epochs", "2",
@@ -94,6 +106,24 @@ class TestGenData:
                      "--holdout", "15", "--holdout-out", str(blind)]) == 0
         assert len(read_dataset(blind)) == 15
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    def test_bad_noise_is_one_error_line_naming_the_field(self, tmp_path, capsys, noise):
+        capsys.readouterr()
+        assert main(["gen-data", "--counts", "5,5,5", "--side", "8", "--noise", noise,
+                     "--out", str(tmp_path / "d.mids")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: noise_level must be finite and >= 0")
+        assert not (tmp_path / "d.mids").exists()
+
+    def test_holdout_out_equal_to_out_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["gen-data", "--counts", "5,5,5", "--side", "8", "--holdout", "3",
+                     "--out", "h.mids", "--holdout-out", "./h.mids"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0] == "error: --holdout-out and --out are the same file: h.mids"
+        assert not (tmp_path / "h.mids").exists()
+
 
 class TestTrain:
     def test_run_directory_artifacts(self, mini):
@@ -112,13 +142,37 @@ class TestTrain:
             digest, name = line.split()
             assert sha256(run / name) == digest
 
-    def test_rerun_from_snapshot_is_bit_identical(self, mini, tmp_path):
+    def test_rerun_from_snapshot_is_bit_identical(self, mini, tmp_path, monkeypatch):
+        """A rerun from the config snapshot, then eval, pca, gradcam and report
+        on each run, write the same bytes: every file but run.log."""
         data, run = mini
-        rerun = tmp_path / "rerun"
-        assert main(["train", "--data", str(data), "--out", str(rerun),
+        first, second = tmp_path / "first", tmp_path / "second"
+        shutil.copytree(run, first / "run", ignore=shutil.ignore_patterns("eval", "pca", "gradcam"))
+        assert main(["train", "--data", str(data), "--out", str(second / "run"),
                      "--config", str(run / "config.snapshot")]) == 0
-        assert (rerun / "history.csv").read_bytes() == (run / "history.csv").read_bytes()
-        assert sha256(rerun / "checkpoint.pfnn") == sha256(run / "checkpoint.pfnn")
+        for root in (first, second):
+            monkeypatch.chdir(root)  # index.csv lists the gallery paths as given
+            for argv in (["eval", "--split", "train", "--split", "test"], ["pca"],
+                         ["gradcam", "--correct", "2", "--wrong", "2"]):
+                assert main([*argv, "--run", "run"]) == 0
+            assert main(["report", "--compare", "run", "--out", "comparison"]) == 0
+
+        def outputs(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+                    if p.is_file() and p.name != "run.log"}
+
+        written = outputs(first)
+        assert {p.suffix for p in written} >= {".csv", ".json", ".ppm", ".pfnn", ".mids", ".txt"}
+        assert written == outputs(second)
+
+        # every float cell is repr-exact; np.savetxt writes case_*_raw.csv at %.18e
+        for rel, raw in written.items():
+            if rel.suffix != ".csv" or rel.name.endswith("_raw.csv"):
+                continue
+            for row in csv.reader(raw.decode().splitlines()):
+                for cell in row:
+                    if is_float_cell(cell):
+                        assert repr(float(cell)) == cell, (rel, cell)
 
     def test_run_log_records_numpy_and_the_openblas_kernel_and_threads(self, mini):
         _, run = mini
@@ -226,8 +280,9 @@ class TestTrain:
                      "--lambda-fs", lambda_fs]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "'conv1/kernel'" in err[0]
-        history = read_history(run / "history.csv")
-        assert all(math.isfinite(v) for rec in history for v in astuple(rec))
+        with open(run / "history.csv", newline="") as fh:
+            history = list(csv.DictReader(fh))
+        assert all(math.isfinite(float(v)) for row in history for v in row.values())
 
     def test_divergent_rerun_leaves_no_stale_artifacts(self, tmp_path):
         data = tmp_path / "d.mids"
@@ -501,6 +556,32 @@ class TestEmptySplit:
         assert main(["eval", "--run", str(run), "--data", str(bad)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "badlabel.mids" in err[0] and "label out of range" in err[0]
+
+
+class TestZeroSizeImages:
+    """A MIDS1 header with H = W = 0 and no pixel bytes."""
+
+    @pytest.fixture
+    def zero(self, tmp_path):
+        names = b"".join(struct.pack("<H", len(name)) + name.encode()
+                         for name in ("normal", "benign", "malignant"))
+        path = tmp_path / "z.mids"
+        path.write_bytes(b"MIDS1" + struct.pack("<4I", 30, 0, 0, 3) + names + bytes(30))
+        return path
+
+    @pytest.mark.parametrize("command", ["train", "eval", "pca", "gradcam"])
+    def test_is_one_error_line_naming_the_file_and_keeps_the_run(self, mini, zero, tmp_path, capsys,
+                                                                 command):
+        _, run = mini
+        used = tmp_path / "used"
+        shutil.copytree(run, used)
+        before = {p: p.read_bytes() for p in used.rglob("*") if p.is_file()}
+        target = ["--out", str(used)] if command == "train" else ["--run", str(used)]
+        capsys.readouterr()
+        assert main([command, "--data", str(zero), *target]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {zero}: images must have H and W >= 1")
+        assert {p: p.read_bytes() for p in used.rglob("*") if p.is_file()} == before
 
 
 class TestClassTable:

@@ -1,6 +1,7 @@
 """Synthetic data generation, targeted augmentation, and MIDS1 round-trips."""
 
 import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from pfnn import datagen
 from pfnn.datagen import (
+    CLASS_NAMES,
+    MAGIC,
     GenSpec,
     LabeledImageSet,
     augment_to_share,
@@ -145,6 +148,19 @@ class TestGenerate:
     def test_all_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             generate(GenSpec(counts=(0, 0, 0)))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("noise_level", float("nan"), "noise_level must be finite"),
+        ("noise_level", float("inf"), "noise_level must be finite"),
+        ("noise_level", -0.1, "noise_level must be finite and >= 0, got -0.1"),
+        ("blob_radius", (0.0, 0.0), r"blob_radius lower bound must be > 0, got \(0.0, 0.0\)"),
+        ("blob_radius", (2.0, float("inf")), "blob_radius must be finite"),
+        ("blob_intensity", (float("nan"), 0.4), "blob_intensity must be finite"),
+        ("spike_intensity", (1.0, 0.5), r"spike_intensity must be .*lo <= hi, got \(1.0, 0.5\)"),
+    ])
+    def test_bad_spec_is_an_error_naming_the_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            GenSpec(counts=(1, 1, 1), **{field: value})
 
 
 class TestClassDistribution:
@@ -382,6 +398,14 @@ class TestMids1Format:
         path = tmp_path / "mixed.mids"
         write_dataset(path, LabeledImageSet(images, data.labels))
         with pytest.raises(ValueError, match="mixed.mids: 2 non-finite"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("h,w", [(0, 0), (0, 5), (5, 0)])
+    def test_zero_height_or_width_names_the_file(self, tmp_path, h, w):
+        names = b"".join(struct.pack("<H", len(name)) + name.encode() for name in CLASS_NAMES)
+        path = tmp_path / "z.mids"
+        path.write_bytes(MAGIC + struct.pack("<4I", 30, h, w, len(CLASS_NAMES)) + names + bytes(30))
+        with pytest.raises(ValueError, match=r"z.mids: images must have H and W >= 1"):
             read_dataset(path)
 
     def test_empty_set_and_trailing_bytes(self, tmp_path):

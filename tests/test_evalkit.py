@@ -15,7 +15,9 @@ from pfnn.evalkit import (
     confusion,
     overfit_deltas,
     parse_report,
+    report_from_dict,
     roc_curve,
+    write_csv,
     write_report,
     write_scatter_pairs,
     write_table1,
@@ -257,6 +259,14 @@ class TestReportFiles:
                      "recall_std_vs_overfit_loss", "f1_mean_vs_recall_mean"):
             assert pair in body
 
+    def test_integer_metric_prints_as_float_and_none_as_empty(self, tmp_path):
+        doc = asdict(self.build(model="ints"))
+        doc["accuracy"], doc["loss"] = 1, 0
+        write_table1([report_from_dict(doc)], tmp_path / "t1.csv")
+        row = (tmp_path / "t1.csv").read_text().splitlines()[1].split(",")
+        assert row[:3] == ["ints", "1.0", "0.0"]
+        assert row[-3:] == ["", "", ""]  # overfit_* are None without a train split
+
     def test_perfect_classifier_fixture(self, tmp_path):
         labels = np.repeat([0, 1, 2], 5)
         probs = np.zeros((15, 3))
@@ -267,3 +277,15 @@ class TestReportFiles:
         write_table1([report], tmp_path / "t1.csv")
         row = (tmp_path / "t1.csv").read_text().splitlines()[1]
         assert row.split(",")[3] == "1.0"
+
+
+def test_write_csv_cells(tmp_path):
+    """Floats of any width are written repr-exact as Python floats, None as an
+    empty cell, anything else by str; the csv module quotes as needed."""
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["f64", "f32", "inf", "none", "int", "str"],
+              [[np.float64(0.1), np.float32(0.1), float("-inf"), None, 7, "a,b"],
+               (np.float64(1e-300), np.float32(3.0), float("inf"), None, -2, "")])
+    assert path.read_bytes() == (b"f64,f32,inf,none,int,str\r\n"
+                                 b'0.1,0.10000000149011612,-inf,,7,"a,b"\r\n'
+                                 b"1e-300,3.0,inf,,-2,\r\n")

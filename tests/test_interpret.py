@@ -1,6 +1,7 @@
 """Grad-CAM analytic fixtures, Jacobi PCA against eigh, and the galleries."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from oracles import pca_eigh
 
 from pfnn.datagen import GenSpec, generate
-from pfnn.imaging import heat_colormap, read_ppm, to_uint8
+from pfnn.imaging import heat_colormap, to_uint8
 from pfnn.interpret import (
     cam_case_gallery,
     cam_overlay,
@@ -115,12 +116,12 @@ class TestCamGallery:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(gallery.cases)
         case = gallery.cases[0]
-        written = read_ppm(case.path)
         img = data.images[case.sample_id]
         cam = grad_cam(model, img, 2)
         gray = np.repeat(img.astype(np.float64), 3, axis=-1)
-        panel = np.concatenate([gray, cam_overlay(img, cam.upsampled)], axis=1)
-        np.testing.assert_array_equal(written, to_uint8(panel))
+        panel = to_uint8(np.concatenate([gray, cam_overlay(img, cam.upsampled)], axis=1))
+        h, w, _ = panel.shape
+        assert Path(case.path).read_bytes() == f"P6\n{w} {h}\n255\n".encode() + panel.tobytes()
         # overlay definition: half gray, half colormap
         overlay = cam_overlay(img, cam.upsampled)
         np.testing.assert_allclose(

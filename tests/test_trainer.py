@@ -1,5 +1,6 @@
 """Splitting, Adam, the callback schedules, and the training loop."""
 
+import csv
 import hashlib
 import math
 import tracemalloc
@@ -26,7 +27,6 @@ from pfnn.trainer import (
     fit,
     predict,
     predict_layers,
-    read_history,
     reduce_lr_on_plateau,
     stratified_split,
     write_history,
@@ -294,9 +294,9 @@ class TestFit:
         path = tmp_path / "history.csv"
         write_history(run.history, path)
         assert path.read_text().splitlines()[0] == "epoch,train_loss,train_acc,val_loss,val_acc,lr"
-        loaded = read_history(path)
-        assert [(r.epoch, r.train_loss, r.val_loss) for r in loaded] == \
-               [(r.epoch, r.train_loss, r.val_loss) for r in run.history]
+        with open(path, newline="") as fh:
+            loaded = [tuple(map(float, row.values())) for row in csv.DictReader(fh)]
+        assert loaded == [tuple(map(float, astuple(r))) for r in run.history]
 
     def test_empty_dataset_rejected(self):
         data = toy_set((4, 4, 4))
