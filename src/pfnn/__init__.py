@@ -7,7 +7,7 @@ a synthetic imbalanced image generator, the full evaluation metric
 battery, and Grad-CAM / PCA interpretability tools.
 """
 
-from .autodiff import Tensor, ShapeError, backward, grad_check
+from .autodiff import Tensor, ShapeError, backward
 
-__all__ = ["Tensor", "ShapeError", "backward", "grad_check"]
+__all__ = ["Tensor", "ShapeError", "backward"]
 __version__ = "0.1.0"

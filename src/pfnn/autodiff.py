@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,12 +78,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"float() needs a scalar tensor, got shape {self.shape}")
         return float(self.data)
-
-    def __add__(self, other) -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        return mul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
@@ -519,69 +512,3 @@ def backward(loss: Tensor, retain: Sequence[Tensor] = ()) -> None:
             acc = pending.get(id(parent))
             pending[id(parent)] = pg if acc is None else acc + pg
 
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-@dataclass
-class GradCheckEntry:
-    name: str
-    max_rel_err: float
-    finite: bool
-
-
-@dataclass
-class GradCheckReport:
-    """Per-parameter agreement between analytic and central-difference grads."""
-
-    entries: dict[str, GradCheckEntry] = field(default_factory=dict)
-
-    @property
-    def max_rel_err(self) -> float:
-        return max((e.max_rel_err for e in self.entries.values()), default=0.0)
-
-    @property
-    def ok(self) -> bool:
-        return all(e.finite for e in self.entries.values())
-
-
-def grad_check(builder, seed: int, step: float = 1e-5) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    ``builder(rng)`` must return ``(forward, params)`` where ``forward()``
-    rebuilds the scalar loss from the current parameter values and
-    ``params`` maps names to the Tensors being checked. The relative
-    error denominator is max(1, |analytic|, |numeric|).
-    """
-    rng = np.random.default_rng(seed)
-    forward, params = builder(rng)
-    for p in params.values():
-        p.zero_grad()
-    loss = forward()
-    backward(loss)
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
-    report = GradCheckReport()
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = float(forward().data)
-            flat[i] = orig - step
-            lo = float(forward().data)
-            flat[i] = orig
-            numeric[i] = (hi - lo) / (2.0 * step)
-        a = analytic[name].reshape(-1)
-        finite = bool(np.isfinite(a).all() and np.isfinite(numeric).all())
-        if flat.size:
-            denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(numeric)))
-            err = float(np.max(np.abs(a - numeric) / denom)) if finite else float("inf")
-        else:
-            err = 0.0
-        report.entries[name] = GradCheckEntry(name, err, finite)
-    return report

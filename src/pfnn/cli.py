@@ -91,9 +91,12 @@ def _class_index(name: str, class_names) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    if args.holdout:
-        if not args.holdout_out:
-            raise ValueError("--holdout requires --holdout-out")
+    holdout = args.holdout is not None
+    if holdout != (args.holdout_out is not None):
+        raise ValueError("--holdout and --holdout-out must be given together")
+    if holdout:
+        if args.holdout <= 0:
+            raise ValueError(f"--holdout must be positive, got {args.holdout}")
         if Path(args.holdout_out).resolve() == Path(args.out).resolve():
             raise ValueError(f"--holdout-out and --out are the same file: {args.out}")
     counts = tuple(int(c) for c in args.counts.split(","))
@@ -105,7 +108,7 @@ def cmd_gen_data(args) -> int:
             raise ValueError(f"--augment expects CLASS:SHARE, got {args.augment!r}")
         target = _class_index(class_name, data.class_names)
         data = augment_to_share(data, target, float(share), seed=args.seed)
-    if args.holdout:
+    if holdout:
         blind, data = holdout_extract(data, args.holdout, seed=args.seed)
         write_dataset(args.holdout_out, blind)
     write_dataset(args.out, data)
@@ -113,7 +116,7 @@ def cmd_gen_data(args) -> int:
     print(f"wrote {args.out}: {len(data)} images, side {data.images.shape[1]}")
     for name, c, s in zip(data.class_names, cnts, shares):
         print(f"  {name}: {c} ({100.0 * s:.1f}%)")
-    if args.holdout:
+    if holdout:
         print(f"wrote {args.holdout_out}: {args.holdout} blind images")
     return 0
 

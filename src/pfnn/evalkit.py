@@ -199,41 +199,52 @@ def overfit_deltas(train_report: EvalReport, test_report: EvalReport) -> tuple[f
 # serialization
 
 
+def _is_number(value) -> bool:
+    """A JSON number that ``float()`` takes: not a bool, and no integer beyond float range."""
+    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, (list, tuple)) and all(map(check, value))
+
+
+# by annotation: a check of a field's JSON form (a list may be asdict's tuple) and its name
+_FIELD_FORMS = {
+    "str": (lambda value: isinstance(value, str), "a string"),
+    "float": (_is_number, "a number"),
+    "float | None": (lambda value: value is None or _is_number(value), "a number or null"),
+    "tuple[str, ...]": (_list_of(lambda value: isinstance(value, str)), "a list of strings"),
+    "tuple[float, ...]": (_list_of(_is_number), "a list of numbers"),
+    "tuple[int, ...]": (_list_of(lambda value: type(value) is int), "a list of integers"),
+    "dict[str, RocCurve | None]": (lambda value: isinstance(value, dict), "a JSON object"),
+}
+
+
 def _from_fields(cls, data, where: str):
-    """``cls`` from its JSON form: every field read by name, lists back to tuples."""
+    """``cls`` from its JSON form: each field checked by its annotation, lists back to tuples."""
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
     missing = [f.name for f in fields(cls) if f.name not in data]
     if missing:
         raise ValueError(f"{where} is missing field(s) {', '.join(map(repr, missing))}")
+    for f in fields(cls):
+        is_form, form = _FIELD_FORMS[f.type]
+        if not is_form(data[f.name]):
+            raise ValueError(f"{where} field {f.name!r} must be {form}, got {data[f.name]!r:.40}")
     return cls(**{f.name: tuple(data[f.name]) if isinstance(data[f.name], list) else data[f.name]
                   for f in fields(cls)})
 
 
-# what the tables need in each report field, by its annotation
-_NUMBER_FIELDS = {"float": "a number", "float | None": "a number or null"}
-
-
-def _is_number(value) -> bool:
-    """A JSON number that ``float()`` takes: not a bool, and no integer beyond float range."""
-    if isinstance(value, float):
-        return True
-    return isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-
-
 def report_from_dict(data: dict) -> EvalReport:
-    """Decode ``asdict`` of an ``EvalReport``. A non-object, a missing field, or a
-    metric that is not a number (or null for the ``overfit_*`` fields) is a
-    ``ValueError`` naming the field."""
+    """Decode ``asdict`` of an ``EvalReport``. A non-object, a missing field, a field
+    not in the JSON form of its annotation, or an ROC curve whose lists differ in
+    length is a ``ValueError`` naming the field."""
     report = _from_fields(EvalReport, data, "report")
-    for f in fields(EvalReport):
-        value = getattr(report, f.name)
-        if f.type in _NUMBER_FIELDS and not (_is_number(value) or (value is None and f.type != "float")):
-            raise ValueError(f"report field {f.name!r} must be {_NUMBER_FIELDS[f.type]}, got {value!r:.40}")
-    if not isinstance(report.roc, dict):
-        raise ValueError(f"report field 'roc' must be a JSON object, got {type(report.roc).__name__}")
     report.roc = {name: None if curve is None else _from_fields(RocCurve, curve, f"roc curve {name!r}")
                   for name, curve in report.roc.items()}
+    for name, curve in report.roc.items():
+        if curve is not None and not len(curve.fpr) == len(curve.tpr) == len(curve.thresholds):
+            raise ValueError(f"roc curve {name!r} fields 'fpr', 'tpr' and 'thresholds' differ in length")
     return report
 
 

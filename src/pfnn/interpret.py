@@ -92,8 +92,10 @@ def cam_case_gallery(
     correct cases of ``target_class`` and its most confident errors.
 
     Writes ``case_<id>_<kind>.ppm`` files plus ``index.csv``; when fewer
-    cases exist than requested the note says so.
+    cases exist than requested the note says so. A negative count is an error.
     """
+    if min(n_correct, n_wrong) < 0:
+        raise ValueError(f"case counts must be >= 0, got n_correct={n_correct}, n_wrong={n_wrong}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     probs, _ = predict(model, dataset.images)

@@ -35,6 +35,7 @@ from .autodiff import (
     global_avg_pool,
     global_max_pool,
     matmul,
+    mul,
     relu,
     sigmoid,
     softmax,
@@ -68,7 +69,7 @@ def sevector(u: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
     """
     squeezed = relu(add(matmul(u, w1), b1))
     gate = sigmoid(add(matmul(squeezed, w2), b2))
-    return u * gate
+    return mul(u, gate)
 
 
 def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

@@ -163,13 +163,9 @@ class Plateau:
     """Patience counter over a monitored loss: ``step`` fires after
     ``patience`` epochs in a row without the loss improving by more than
     ``min_delta`` on the best seen, and the wait counter resets when it fires.
-    ``patience`` must be >= 1 and ``min_delta`` finite and >= 0."""
+    ``fit`` takes both from a ``TrainConfig``, which checks their ranges."""
 
     def __init__(self, patience: int, min_delta: float = 1e-4):
-        if patience < 1:
-            raise ValueError(f"patience must be >= 1, got {patience}")
-        if not (math.isfinite(min_delta) and min_delta >= 0):
-            raise ValueError(f"min_delta must be finite and >= 0, got {min_delta}")
         self.patience = patience
         self.min_delta = min_delta
         self.best = math.inf
@@ -185,36 +181,6 @@ class Plateau:
             return False
         self.wait = 0
         return True
-
-
-def reduce_lr_on_plateau(
-    val_losses, lr0: float, patience: int = 5, factor: float = 0.5, min_delta: float = 1e-4,
-) -> list[float]:
-    """Learning rate in effect at each epoch of the given val-loss history.
-
-    A reduction fired at the end of epoch e changes the rate from epoch
-    e+1 on, matching what the training loop records.
-    """
-    plateau = Plateau(patience, min_delta)
-    lr, trace = lr0, []
-    for loss in val_losses:
-        trace.append(lr)
-        if plateau.step(loss):
-            lr *= factor
-    return trace
-
-
-def early_stopping(val_losses, patience: int, min_delta: float = 1e-4) -> tuple[int | None, int]:
-    """(stop epoch or None, best epoch), both 1-indexed.
-
-    The best epoch is the first minimum of the losses seen up to the
-    stop; best-weights restoration targets exactly that epoch.
-    """
-    losses = list(val_losses)
-    plateau = Plateau(patience, min_delta)
-    stop_epoch = next((i for i, loss in enumerate(losses, 1) if plateau.step(loss)), None)
-    best_epoch = int(np.argmin(losses[:stop_epoch])) + 1
-    return stop_epoch, best_epoch
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,21 @@ import hashlib
 import time
 
 import numpy as np
-import pytest
 
-from oracles import auc_concordance, fsl_two_loop, metrics_brute_force, pca_eigh
+from oracles import auc_concordance, fd_gradient, fsl_two_loop, metrics_brute_force, pca_eigh, \
+    rel_err
 
 from pfnn.autodiff import (
     BatchNormState,
     Tensor,
     add,
+    backward,
     batch_norm,
     concat_last,
     conv2d,
     dropout,
     global_avg_pool,
     global_max_pool,
-    grad_check,
     matmul,
     mul,
     reduce_sum,
@@ -39,8 +39,7 @@ from pfnn.evalkit import build_report, classification_report, confusion, roc_cur
 from pfnn.interpret import grad_cam, pca
 from pfnn.layers import ModelConfig, build_model
 from pfnn.losses import cross_entropy, feature_smoothing_loss, total_loss
-from pfnn.trainer import TrainConfig, early_stopping, fit, predict, \
-    reduce_lr_on_plateau, stratified_split
+from pfnn.trainer import TrainConfig, fit, predict, stratified_split
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5
@@ -57,7 +56,7 @@ def verdict(num, name, ok, detail=""):
 
 
 def _op_builders():
-    """One grad_check builder per op in the library."""
+    """One ``(forward, params)`` builder per op in the library."""
     builders = {}
 
     def simple(name, make, shape=(3, 4)):
@@ -207,21 +206,33 @@ def _composite_builder(rng):
     return forward, model.params
 
 
+def _grad_error(site, builder, seed):
+    """Largest relative error between ``backward``'s gradient and central
+    finite differences over every parameter of ``builder``'s loss."""
+    forward, params = builder(np.random.default_rng(seed))
+    backward(forward())
+    worst = 0.0
+    for p in params.values():
+        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+        numeric = fd_gradient(forward, p.data, FD_STEP)
+        # rel_err is nan on a nan gradient, and nan > worst is False
+        assert np.isfinite(analytic).all() and np.isfinite(numeric).all(), \
+            f"non-finite gradients in {site}"
+        worst = max(worst, rel_err(analytic, numeric))
+    return worst
+
+
 def test_criterion_01_gradient_integrity():
     start = time.perf_counter()
     worst = 0.0
     worst_site = ""
-    for name, builder in _op_builders().items():
-        for seed in range(20):
-            report = grad_check(builder, seed=seed, step=FD_STEP)
-            assert report.ok, f"non-finite gradients in {name} (seed {seed})"
-            if report.max_rel_err > worst:
-                worst, worst_site = report.max_rel_err, f"{name}/seed{seed}"
-    for seed in range(20):
-        report = grad_check(_composite_builder, seed=1000 + seed, step=FD_STEP)
-        assert report.ok, f"non-finite gradients in composite (seed {seed})"
-        if report.max_rel_err > worst:
-            worst, worst_site = report.max_rel_err, f"composite/seed{seed}"
+    sites = [(f"{name}/seed{seed}", builder, seed)
+             for name, builder in _op_builders().items() for seed in range(20)]
+    sites += [(f"composite/seed{seed}", _composite_builder, 1000 + seed) for seed in range(20)]
+    for site, builder, seed in sites:
+        err = _grad_error(site, builder, seed)
+        if err > worst:
+            worst, worst_site = err, site
     elapsed = time.perf_counter() - start
     ok = worst < GRAD_TOL and elapsed < 60.0
     assert verdict(1, "gradient integrity", ok,
@@ -300,59 +311,86 @@ def test_criterion_03_metric_oracles():
 
 
 # ---------------------------------------------------------------------------
-# criterion 4: callback schedules on scripted sequences
+# criterion 4: fit's LR cuts and early stopping on scripted validation losses
 
 
-def test_criterion_04_callback_schedules():
-    P, F, D = 5, 0.5, 1e-4  # patience, factor, min_delta
+LR0 = 1e-6
 
+
+def _fit_scripted(monkeypatch, losses, rlrop_patience, early_stop_patience, min_delta):
+    """``fit`` on a tiny model, one step per epoch, whose validation losses
+    are ``losses`` in turn."""
+    scripted = iter(losses)
+    monkeypatch.setattr("pfnn.trainer._eval_split", lambda *args: (next(scripted), 0.0))
+    model = build_model(ModelConfig(conv_widths=(2,), head_units=4, seed=4))
+    config = TrainConfig(learning_rate=LR0, batch_size=32, max_epochs=len(losses),
+                         rlrop_patience=rlrop_patience, early_stop_patience=early_stop_patience,
+                         min_delta=min_delta, seed=4)
+    return fit(model, generate(GenSpec(counts=(6, 6, 6), side=8, seed=4)), config)
+
+
+def test_criterion_04_callback_schedules(monkeypatch):
+    D = 1e-4  # min_delta
+
+    # (val losses, LR-cut patience, min_delta, lr of each epoch / LR0); factor 0.5
     plateau_cases = [
         # flat forever: reductions at the end of epochs 6 and 11
-        ([1.0] * 12, [1.0] * 6 + [0.5] * 5 + [0.25]),
+        ([1.0] * 12, 5, D, [1.0] * 6 + [0.5] * 5 + [0.25]),
         # strictly decreasing: never reduces
-        ([1.0 - 0.01 * i for i in range(10)], [1.0] * 10),
+        ([1.0 - 0.01 * i for i in range(10)], 5, D, [1.0] * 10),
         # improvement at 3 restarts the window
-        ([1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+        ([1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5], 5, D,
          [1.0] * 8 + [0.5]),
         # double plateau of exactly 2*patience after the first improvement
-        ([1.0] * 11, [1.0] * 6 + [0.5] * 5),
+        ([1.0] * 11, 5, D, [1.0] * 6 + [0.5] * 5),
         # drop of exactly min_delta is a tie, counts toward the plateau
-        ([1.0, 1.0 - D, 1.0 - D, 1.0 - D, 1.0 - D, 1.0 - D, 1.0 - D],
+        ([1.0, 1.0 - D, 1.0 - D, 1.0 - D, 1.0 - D, 1.0 - D, 1.0 - D], 5, D,
          [1.0] * 6 + [0.5]),
         # drop just past min_delta resets the wait counter
-        ([1.0, 1.0 - 2 * D, 1.0 - 2 * D, 1.0 - 2 * D, 1.0 - 2 * D, 1.0 - 2 * D, 1.0 - 2 * D],
+        ([1.0, 1.0 - 2 * D, 1.0 - 2 * D, 1.0 - 2 * D, 1.0 - 2 * D, 1.0 - 2 * D, 1.0 - 2 * D], 5, D,
          [1.0] * 7),
         # rebound after reduction improves on the stale best: no second cut
-        ([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.2, 0.2, 0.2, 0.2],
+        ([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.2, 0.2, 0.2, 0.2], 5, D,
          [1.0] * 6 + [0.5] * 4),
+        # improvements below min_delta count toward the plateau
+        ([1.0, 1.0 - 5e-5, 1.0 - 6e-5, 1.0 - 6e-5], 2, D, [1.0] * 3 + [0.5]),
     ]
-    plateau_ok = True
-    for losses, expected in plateau_cases:
-        got = reduce_lr_on_plateau(losses, 1.0, patience=P, factor=F, min_delta=D)
-        plateau_ok = plateau_ok and got == expected
-
+    # (val losses, early-stop patience, min_delta, (stop epoch or None, best epoch))
     stopping_cases = [
         # the worked example: stop at 4, best at 2
-        ([1.0, 0.9, 0.95, 0.96, 0.96], 2, (4, 2)),
+        ([1.0, 0.9, 0.95, 0.96, 0.96], 2, D, (4, 2)),
         # monotone decreasing: no stop, best is last
-        ([1.0 - 0.05 * i for i in range(8)], 3, (None, 8)),
+        ([1.0 - 0.05 * i for i in range(8)], 3, D, (None, 8)),
         # immediate flatline with patience 1
-        ([0.7, 0.7, 0.7], 1, (2, 1)),
+        ([0.7, 0.7, 0.7], 1, D, (2, 1)),
         # tie at exactly min_delta never counts as improvement
-        ([1.0, 1.0 - D, 1.0 - D, 1.0 - D], 3, (4, 2)),
+        ([1.0, 1.0 - D, 1.0 - D, 1.0 - D], 3, D, (4, 2)),
         # recovery before patience runs out
-        ([1.0, 0.9, 0.95, 0.8, 0.85, 0.86, 0.87], 3, (7, 4)),
+        ([1.0, 0.9, 0.95, 0.8, 0.85, 0.86, 0.87], 3, D, (7, 4)),
         # stop exactly at the horizon
-        ([0.5, 0.6, 0.6, 0.6, 0.6, 0.6], 5, (6, 1)),
+        ([0.5, 0.6, 0.6, 0.6, 0.6, 0.6], 5, D, (6, 1)),
+        # the best epoch is the first of equal minima
+        ([0.5, 0.4, 0.4, 0.4], 3, D, (None, 2)),
+        # min_delta 0: an equal loss is no improvement
+        ([1.0, 1.0, 1.0], 2, 0.0, (3, 1)),
     ]
-    stopping_ok = True
-    for losses, patience, expected in stopping_cases:
-        got = early_stopping(losses, patience=patience, min_delta=D)
-        stopping_ok = stopping_ok and got == expected
 
-    ok = plateau_ok and stopping_ok
-    assert verdict(4, "callback schedules", ok,
-                   f"{len(plateau_cases)} plateau + {len(stopping_cases)} stopping sequences")
+    failed = []
+    for losses, patience, min_delta, expected in plateau_cases:
+        run = _fit_scripted(monkeypatch, losses, patience, len(losses) + 1, min_delta)
+        got = ([r.lr for r in run.history], run.stopped_early, len(run.history), run.best_epoch)
+        if got != ([LR0 * e for e in expected], False, len(losses), int(np.argmin(losses)) + 1):
+            failed.append(losses)
+    for losses, patience, min_delta, (stop, best) in stopping_cases:
+        run = _fit_scripted(monkeypatch, losses, len(losses) + 1, patience, min_delta)
+        got = ([r.lr for r in run.history], run.stopped_early, len(run.history), run.best_epoch)
+        epochs = stop or len(losses)
+        if got != ([LR0] * epochs, stop is not None, epochs, best):
+            failed.append(losses)
+
+    assert verdict(4, "callback schedules", not failed,
+                   f"{len(plateau_cases)} plateau + {len(stopping_cases)} stopping sequences "
+                   f"through fit, failed: {failed}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from pfnn.autodiff import (
     dropout,
     global_avg_pool,
     global_max_pool,
-    grad_check,
     matmul,
     mul,
     reduce_sum,
@@ -535,39 +534,6 @@ class TestFusedAndBlockedOpsAreBitIdentical:
         assert np.array_equal(out.data, expected_out)
         assert not np.signbit(out.data).any()
         assert np.array_equal(xt.grad, expected_grad)
-
-
-class TestGradCheck:
-    def test_constant_loss_has_zero_gradients(self):
-        def builder(rng):
-            p = Tensor(rng.uniform(-1, 1, (3,)), requires_grad=True)
-
-            def forward():
-                return mul(Tensor(2.5), Tensor(1.0))
-
-            return forward, {"p": p}
-
-        report = grad_check(builder, seed=0)
-        assert report.ok
-        assert report.max_rel_err == 0.0
-
-    def test_dense_softmax_ce_chain(self):
-        from pfnn.losses import cross_entropy
-
-        def builder(rng):
-            x = rng.uniform(-2, 2, (5, 4))
-            labels = rng.integers(0, 3, 5)
-            w = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
-            b = Tensor(rng.uniform(-0.5, 0.5, 3), requires_grad=True)
-
-            def forward():
-                return cross_entropy(softmax(add(matmul(Tensor(x), w), b)), labels)
-
-            return forward, {"w": w, "b": b}
-
-        report = grad_check(builder, seed=17)
-        assert report.ok
-        assert report.max_rel_err < 1e-4
 
 
 class TestCheckpointFormat:

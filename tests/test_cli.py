@@ -125,6 +125,17 @@ class TestGenData:
         assert not (tmp_path / "h.mids").exists()
 
 
+    @pytest.mark.parametrize("holdout", [[], ["--holdout", "0"]], ids=["no-holdout", "holdout-0"])
+    def test_holdout_out_without_a_holdout_is_an_error(self, tmp_path, capsys, holdout):
+        capsys.readouterr()
+        assert main(["gen-data", "--counts", "5,5,5", "--side", "8", *holdout,
+                     "--holdout-out", str(tmp_path / "hh.mids"), "--out", str(tmp_path / "o.mids")]) == 1
+        expected = "--holdout must be positive, got 0" if holdout else \
+            "--holdout and --holdout-out must be given together"
+        assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
+        assert not list(tmp_path.iterdir())
+
+
 class TestTrain:
     def test_run_directory_artifacts(self, mini):
         _, run = mini
@@ -491,6 +502,16 @@ class TestGradcamCommand:
         ppms = list(out.glob("case_*.ppm"))
         assert len(ppms) == len(rows) <= 4
 
+    @pytest.mark.parametrize("flag", ["--correct", "--wrong"])
+    def test_negative_count_is_one_error_line(self, mini, tmp_path, capsys, flag):
+        _, run = mini
+        capsys.readouterr()
+        assert main(["gradcam", "--run", str(run), flag, "-1", "--out", str(tmp_path / "g")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        counts = "n_correct=-1, n_wrong=3" if flag == "--correct" else "n_correct=3, n_wrong=-1"
+        assert err == [f"error: case counts must be >= 0, got {counts}"]
+        assert not list((tmp_path / "g").glob("case_*"))
+
 
 class TestPcaCommand:
     def test_auto_layer_recorded_with_projections(self, mini):
@@ -710,15 +731,24 @@ class TestReportCommand:
         main(["train", "--data", str(data), "--out", str(fresh), "--seed", "9", *TRAIN_ARGS])
         assert main(["report", "--compare", str(fresh), "--out", str(tmp_path / "c")]) == 1
 
-    @pytest.mark.parametrize("field,value", [
-        ("accuracy", [1, 2]), ("loss", "0.5"), ("macro_f1", True), ("recall_min", None),
-        ("f1_std", 10**400), ("overfit_acc", {}),
-    ], ids=["list", "string", "bool", "null", "huge-int", "overfit-object"])
-    def test_non_numeric_metric_is_one_error_line(self, mini, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize("path,value", [
+        (("accuracy",), [1, 2]), (("loss",), "0.5"), (("macro_f1",), True), (("recall_min",), None),
+        (("f1_std",), 10**400), (("overfit_acc",), {}), (("model",), 3),
+        (("class_names",), ["normal", 1, "malignant"]), (("support",), [1.5, 2, 3]),
+        (("roc", "benign", "auc"), "high"), (("roc", "benign", "fpr", 1), "x"),
+        (("roc", "benign", "tpr"), [0.0]),
+    ], ids=["list", "string", "bool", "null", "huge-int", "overfit-object", "int-model",
+            "int-class-name", "float-support", "string-auc", "string-fpr", "short-tpr"])
+    def test_mistyped_field_is_one_error_line(self, mini, tmp_path, capsys, path, value):
         _, run = mini
         assert main(["eval", "--run", str(run), "--out", str(tmp_path / "e")]) == 0
         doc = json.loads((tmp_path / "e" / "report_test.json").read_text())
-        doc[field] = value
+        *parents, key = path
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        field = next(name for name in reversed(path) if isinstance(name, str))
         broken = tmp_path / "broken"
         (broken / "eval").mkdir(parents=True)
         (broken / "eval" / "report_test.json").write_text(json.dumps(doc))

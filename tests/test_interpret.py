@@ -135,6 +135,15 @@ class TestCamGallery:
         assert all(c.kind == "correct" for c in gallery.cases)
         assert "0 of 2" in gallery.note
 
+    @pytest.mark.parametrize("counts", [(-1, 2), (2, -1)], ids=["n_correct", "n_wrong"])
+    def test_negative_count_is_rejected_not_a_shorter_gallery(self, tmp_path, counts):
+        # a [:-1] slice would drop the last case of the group without a word
+        data = generate(GenSpec(counts=(0, 5, 9), side=12, seed=7))
+        name = "n_correct" if counts[0] < 0 else "n_wrong"
+        with pytest.raises(ValueError, match=f"case counts must be >= 0, got .*{name}=-1"):
+            cam_case_gallery(threshold_model(0.95), data, *counts, tmp_path, 2)
+        assert not list(tmp_path.iterdir())
+
     def test_selection_is_deterministic(self, tmp_path):
         data = generate(GenSpec(counts=(0, 5, 9), side=12, seed=7))
         model = threshold_model(0.95)

@@ -22,12 +22,10 @@ from pfnn.trainer import (
     TrainConfig,
     TrainingDiverged,
     adam_step,
-    early_stopping,
     PREDICT_BLOCK_PIXELS,
     fit,
     predict,
     predict_layers,
-    reduce_lr_on_plateau,
     stratified_split,
     write_history,
 )
@@ -130,28 +128,45 @@ class TestAdam:
         np.testing.assert_array_equal(big.data, [0.0, 0.0])
 
 
+LR0 = 1e-6
+
+
+def scripted_fit(monkeypatch, losses, **overrides):
+    """``fit`` on a tiny model, one step per epoch, whose validation losses
+    are ``losses`` in turn. A schedule whose patience is not given never fires."""
+    scripted = iter(losses)
+    monkeypatch.setattr("pfnn.trainer._eval_split", lambda *args: (next(scripted), 0.0))
+    cfg = dict(learning_rate=LR0, batch_size=32, max_epochs=len(losses), seed=4,
+               rlrop_patience=len(losses) + 1, early_stop_patience=len(losses) + 1)
+    cfg.update(overrides)
+    model = build_model(ModelConfig(conv_widths=(2,), head_units=4, seed=4))
+    return fit(model, toy_set((6, 6, 6), seed=4), TrainConfig(**cfg))
+
+
+def lr_trace(run):
+    """Each epoch's learning rate as a multiple of ``LR0``; halving is exact."""
+    return [rec.lr / LR0 for rec in run.history]
+
+
 class TestReduceLROnPlateau:
-    def test_flat_sequence_fires_after_patience(self):
-        trace = reduce_lr_on_plateau([1.0] * 7, lr0=1.0, patience=5, factor=0.5)
-        assert trace == [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5]
+    def test_flat_sequence_fires_after_patience(self, monkeypatch):
+        run = scripted_fit(monkeypatch, [1.0] * 7, rlrop_patience=5)
+        assert lr_trace(run) == [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5]
 
-    def test_strictly_decreasing_keeps_lr(self):
-        losses = [1.0 - 0.01 * i for i in range(10)]
-        assert reduce_lr_on_plateau(losses, 1.0, 5, 0.5) == [1.0] * 10
+    def test_strictly_decreasing_keeps_lr(self, monkeypatch):
+        run = scripted_fit(monkeypatch, [1.0 - 0.01 * i for i in range(10)], rlrop_patience=5)
+        assert lr_trace(run) == [1.0] * 10
 
-    def test_double_plateau_squares_factor(self):
-        # improvement at epoch 1, then two back-to-back plateaus of length patience
-        losses = [1.0] * 11
-        trace = reduce_lr_on_plateau(losses, 1.0, patience=5, factor=0.5)
+    def test_double_plateau_squares_factor(self, monkeypatch):
+        # improvement at epoch 1, then two back-to-back plateaus of length patience:
         # reductions fire at the ends of epochs 6 and 11
-        assert trace == [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5]
-        plateau = Plateau(patience=5)
-        assert [plateau.step(loss) for loss in losses].count(True) == 2  # lr 1.0 * 0.5**2
+        run = scripted_fit(monkeypatch, [1.0] * 12, rlrop_patience=5)
+        assert lr_trace(run) == [1.0] * 6 + [0.5] * 5 + [0.25]
 
-    def test_improvement_below_min_delta_counts_as_plateau(self):
-        losses = [1.0, 1.0 - 5e-5, 1.0 - 6e-5]
-        trace = reduce_lr_on_plateau(losses, 1.0, patience=2, factor=0.5, min_delta=1e-4)
-        assert trace == [1.0, 1.0, 1.0]  # reduction fires at end of epoch 3
+    def test_improvement_below_min_delta_counts_as_plateau(self, monkeypatch):
+        losses = [1.0, 1.0 - 5e-5, 1.0 - 6e-5, 1.0 - 6e-5]
+        run = scripted_fit(monkeypatch, losses, rlrop_patience=2, min_delta=1e-4)
+        assert lr_trace(run) == [1.0, 1.0, 1.0, 0.5]  # reduction fires at end of epoch 3
 
     def test_counter_resets_after_reduction(self):
         plateau = Plateau(patience=2)
@@ -160,62 +175,30 @@ class TestReduceLROnPlateau:
         assert plateau.step(1.0)  # reduce, counter resets
         assert not plateau.step(1.0)
         assert plateau.step(1.0)  # second reduction two epochs later
-        # both reductions are in effect from epoch 6 on
-        assert reduce_lr_on_plateau([1.0] * 6, 1.0, patience=2, factor=0.5)[-1] == 0.25
 
 
 class TestEarlyStopping:
-    def test_example_sequence(self):
-        losses = [1.0, 0.9, 0.95, 0.96, 0.96, 0.96]
-        stop, best = early_stopping(losses, patience=2)
-        assert (stop, best) == (4, 2)
+    def test_example_sequence(self, monkeypatch):
+        run = scripted_fit(monkeypatch, [1.0, 0.9, 0.95, 0.96, 0.96, 0.96],
+                           early_stop_patience=2)
+        assert (run.stopped_early, len(run.history), run.best_epoch) == (True, 4, 2)
 
-    def test_monotone_never_stops(self):
-        losses = [1.0 - 0.05 * i for i in range(12)]
-        stop, best = early_stopping(losses, patience=3)
-        assert stop is None
-        assert best == 12
+    def test_monotone_never_stops(self, monkeypatch):
+        run = scripted_fit(monkeypatch, [1.0 - 0.05 * i for i in range(12)],
+                           early_stop_patience=3)
+        assert (run.stopped_early, len(run.history), run.best_epoch) == (False, 12, 12)
 
-    def test_tie_at_min_delta_is_not_improvement(self):
+    def test_tie_at_min_delta_is_not_improvement(self, monkeypatch):
         # a drop of exactly min_delta does not reset the counter
-        losses = [1.0, 1.0 - 1e-4, 1.0 - 1e-4]
-        stop, best = early_stopping(losses, patience=2, min_delta=1e-4)
-        assert stop == 3
-        assert best == 2  # first occurrence of the strict minimum
+        run = scripted_fit(monkeypatch, [1.0, 1.0 - 1e-4, 1.0 - 1e-4],
+                           early_stop_patience=2, min_delta=1e-4)
+        assert (run.stopped_early, len(run.history)) == (True, 3)
+        assert run.best_epoch == 2  # first occurrence of the strict minimum
 
-    def test_best_epoch_is_first_minimum(self):
-        losses = [0.5, 0.4, 0.4, 0.4]
-        stop, best = early_stopping(losses, patience=3)
-        assert best == 2
-
-
-class TestPlateauInputs:
-    def test_nan_min_delta_is_rejected_not_a_stop_on_improving_losses(self):
-        # an unchecked nan made every epoch a plateau epoch: (3, 3) here
-        with pytest.raises(ValueError, match="min_delta"):
-            early_stopping([1.0, 0.9, 0.8, 0.7, 0.6, 0.5], patience=3, min_delta=float("nan"))
-
-    def test_negative_min_delta_is_rejected_not_a_run_that_never_stops(self):
-        with pytest.raises(ValueError, match="min_delta"):
-            early_stopping([1.0] * 10, patience=3, min_delta=-5.0)
-
-    def test_nan_min_delta_is_rejected_not_a_cut_every_patience_epochs(self):
-        with pytest.raises(ValueError, match="min_delta"):
-            reduce_lr_on_plateau([1.0 - 0.1 * i for i in range(6)], 1.0, patience=2,
-                                 min_delta=float("nan"))
-
-    @pytest.mark.parametrize("min_delta", [float("inf"), -1e-12])
-    def test_min_delta_must_be_finite_and_non_negative(self, min_delta):
-        with pytest.raises(ValueError, match="min_delta"):
-            Plateau(patience=2, min_delta=min_delta)
-
-    @pytest.mark.parametrize("patience", [0, -1])
-    def test_patience_must_be_at_least_one(self, patience):
-        with pytest.raises(ValueError, match="patience"):
-            Plateau(patience=patience)
-
-    def test_zero_min_delta_is_accepted(self):
-        assert early_stopping([1.0, 1.0, 1.0], patience=2, min_delta=0.0) == (3, 1)
+    def test_best_epoch_is_first_minimum(self, monkeypatch):
+        run = scripted_fit(monkeypatch, [0.5, 0.4, 0.4, 0.4], early_stop_patience=3,
+                           min_delta=0.0)
+        assert (run.stopped_early, run.best_epoch) == (False, 2)
 
 
 class TestFit:
