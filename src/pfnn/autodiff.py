@@ -10,9 +10,9 @@ batch normalization. The losses are single nodes of their own
 conv2d is im2col convolution: one GEMM of the (kh, kw, Cin) patch matrix
 with the flattened kernel for the output and for the kernel gradient; the
 input gradient runs one GEMM per kernel tap over blocks of whole images.
-batch_norm is a single op with the closed-form backward, one affine pass
-in inference, and takes the ReLU after it as a flag. Leading-axis sums
-(bias grads, batchnorm channel sums, average pooling) are BLAS
+batch_norm is the conv block's tail, batchnorm then ReLU, as one op with
+the closed-form backward and one affine pass in inference. Leading-axis
+sums (bias grads, batchnorm channel sums, average pooling) are BLAS
 vector-matrix products, deterministic for a fixed BLAS thread count.
 
 Graph representation: every op output keeps references to its inputs
@@ -67,10 +67,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def zero_grad(self):
         self.grad = None
 
@@ -81,10 +77,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
@@ -121,8 +113,7 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
 # elementwise ops
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
     return _make(
         a.data + b.data, "add", (a, b),
@@ -130,8 +121,7 @@ def add(a, b) -> Tensor:
     )
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
     return _make(
         a.data * b.data, "mul", (a, b),
@@ -139,22 +129,19 @@ def mul(a, b) -> Tensor:
     )
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
+def relu(a: Tensor) -> Tensor:
     return _make(np.maximum(a.data, 0.0), "relu", (a,), lambda g: (g * (a.data > 0),))
 
 
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
+def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     e = np.exp(-np.abs(x))
     s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _make(s, "sigmoid", (a,), lambda g: (g * s * (1.0 - s),))
 
 
-def softmax(a) -> Tensor:
+def softmax(a: Tensor) -> Tensor:
     """Stable softmax along the last axis (max subtraction)."""
-    a = _as_tensor(a)
     z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=-1, keepdims=True)
@@ -169,8 +156,7 @@ def softmax(a) -> Tensor:
 # matmul / reductions
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul: expects (N,D) @ (D,U), got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -178,15 +164,13 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def reduce_sum(a) -> Tensor:
+def reduce_sum(a: Tensor) -> Tensor:
     """Sum of every element, as a scalar."""
-    a = _as_tensor(a)
     return _make(a.data.sum(), "sum", (a,), lambda g: (np.broadcast_to(g, a.shape),))
 
 
-def concat_last(a, b) -> Tensor:
+def concat_last(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate ``a`` then ``b`` along the last axis; all other extents must match."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != b.data.ndim or a.shape[:-1] != b.shape[:-1]:
         raise ShapeError(f"concat_last: shapes {a.shape} and {b.shape} differ off the last axis")
     split = a.shape[-1]
@@ -201,9 +185,8 @@ def concat_last(a, b) -> Tensor:
 # pooling
 
 
-def global_avg_pool(x) -> Tensor:
+def global_avg_pool(x: Tensor) -> Tensor:
     """(N, H, W, C) -> (N, C) per-channel spatial mean."""
-    x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ShapeError(f"global_avg_pool: expects rank-4 (N,H,W,C), got {x.shape}")
     n, h, w, c = x.shape
@@ -227,7 +210,7 @@ def _max_middle(a: np.ndarray) -> np.ndarray:
     return a[:, 0]
 
 
-def global_max_pool(x) -> Tensor:
+def global_max_pool(x: Tensor) -> Tensor:
     """(N, H, W, C) -> (N, C) per-channel spatial max.
 
     Gradient routes to the first maximal element in row-major (H, W)
@@ -237,7 +220,6 @@ def global_max_pool(x) -> Tensor:
     zero max may differ, on a channel holding -0.0, which relu never
     emits.
     """
-    x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ShapeError(f"global_max_pool: expects rank-4 (N,H,W,C), got {x.shape}")
     n, h, w, c = x.shape
@@ -302,7 +284,7 @@ def _image_blocks(n: int, pixels: int) -> list[tuple[int, int]]:
     return [(start, stop - start) for start, stop in zip(starts, starts[1:] + [n])]
 
 
-def conv2d(x, kernel) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Stride-1 2-D convolution, channel-last, zero-padded to keep H and W.
 
     x: (N, H, W, Cin); kernel: (kh, kw, Cin, Cout). An even kernel pads
@@ -316,7 +298,6 @@ def conv2d(x, kernel) -> Tensor:
     blocks of whole images (``_image_blocks``), so each product and the
     dx block it adds into stay in cache.
     """
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: input must be rank-4 (N,H,W,C), got {x.shape}")
     if kernel.data.ndim != 4:
@@ -358,14 +339,11 @@ def conv2d(x, kernel) -> Tensor:
 # dropout / batch normalization
 
 
-def dropout(x, rate: float, rng: np.random.Generator | None = None, training: bool = False) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None, training: bool = False) -> Tensor:
     """Inverted dropout: kept units are scaled by 1/(1-rate) in training.
 
     Identity at rate 0 or in inference mode, so inference needs no rescale.
     """
-    x = _as_tensor(x)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
     if rng is None:
@@ -391,9 +369,9 @@ class BatchNormState:
         self.running_var = m * self.running_var + (1.0 - m) * batch_var
 
 
-def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False, relu: bool = False) -> Tensor:
-    """Normalize per channel (last axis) over all other axes, then scale/shift,
-    then, with ``relu``, clamp at zero.
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool = False) -> Tensor:
+    """The conv block's tail on an (N, H, W, C) input: normalize per
+    channel over N, H and W, then scale/shift, then clamp at zero (ReLU).
 
     Training mode normalizes by the batch statistics and folds them into
     the running averages. Inference mode is one affine pass with the
@@ -404,34 +382,32 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False, re
     dx = inv_std * (d - mean(d) - x_hat * mean(d * x_hat)) in training,
     dx = inv_std * d in inference; dgamma = sum(g * x_hat), dbeta = sum(g).
 
-    ``relu`` clamps the op's own output in place, and backward first
+    The ReLU clamps the op's own output in place, and backward first
     masks g by ``out > 0``, which holds exactly where the unclamped value
-    is > 0: the bytes of ``relu(batch_norm(...))``, one pass fewer each way.
-    A rank-4 (N, H, W, C) input runs every per-channel multiply and add on
-    its (N*H, W*C) view with the C-vector tiled W times, so numpy's inner
-    loops run W*C long instead of C; the channel sums stay whole-array.
+    is > 0: the bytes of a relu after the batchnorm, one pass fewer each
+    way. Every per-channel multiply and add runs on the (N*H, W*C) view
+    with the C-vector tiled W times, so numpy's inner loops run W*C long
+    instead of C; the channel sums stay whole-array.
     """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    c = x.shape[-1]
+    if x.data.ndim != 4:
+        raise ShapeError(f"batch_norm: expects rank-4 (N,H,W,C), got {x.shape}")
+    n, h, w, c = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
             f"batch_norm: gamma/beta must be ({c},) for input {x.shape}, got {gamma.shape}/{beta.shape}"
         )
-    lead = x.data.ndim - 1
-    count = x.size // c
-    reps = x.shape[2] if x.data.ndim == 4 else 1
-    rows = x.shape[0] * x.shape[1] if x.data.ndim == 4 else count
+    count = n * h * w
 
     def rowwise(a: np.ndarray) -> np.ndarray:
-        return a.reshape(rows, reps * c)
+        return a.reshape(n * h, w * c)
 
     def tiled(v: np.ndarray) -> np.ndarray:
-        return np.tile(v, reps)
+        return np.tile(v, w)
 
     if training:
-        mu = _sum_leading(x.data, lead) / count
+        mu = _sum_leading(x.data, 3) / count
         out = rowwise(x.data) - tiled(mu)
-        var = _sum_leading((out * out).reshape(x.shape), lead) / count
+        var = _sum_leading((out * out).reshape(x.shape), 3) / count
         state.update(mu, var)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         out *= tiled(inv_std)
@@ -442,17 +418,15 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool = False, re
         inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         out = rowwise(x.data) * tiled(gamma.data * inv_std)
         out += tiled(beta.data - mu * (gamma.data * inv_std))
-    if relu:
-        np.maximum(out, 0.0, out=out)
+    np.maximum(out, 0.0, out=out)
     out = out.reshape(x.shape)
 
     def vjp(g):
-        if relu:
-            g = g * (out > 0)
+        g = g * (out > 0)
         x_hat = rowwise(x.data) - tiled(mu)
         x_hat *= tiled(inv_std)
-        dbeta = _sum_leading(g, lead)
-        dgamma = _sum_leading((rowwise(g) * x_hat).reshape(x.shape), lead)
+        dbeta = _sum_leading(g, 3)
+        dgamma = _sum_leading((rowwise(g) * x_hat).reshape(x.shape), 3)
         if training:
             dx = x_hat
             dx *= tiled(dgamma / count)

@@ -333,6 +333,9 @@ def cmd_pca(args) -> int:
         selection_note = "highest cumulative explained variance over the first 3 components"
         if choice.tie:
             selection_note += " (tie broken by network order)"
+        skipped = [name for name in model.feature_candidates if name not in choice.curves]
+        if skipped:
+            selection_note += f"; skipped constant layer(s) {', '.join(skipped)}"
     elif layer in model.feature_candidates:
         selection_note = "explicitly requested"
         with _finite_outputs_on(args, split):

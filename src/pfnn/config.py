@@ -25,15 +25,22 @@ class ConfigError(ValueError):
 
 
 def read_kv_file(path) -> dict[str, str]:
-    """Parse ``key=value`` lines; ``#`` starts a comment, blanks ignored."""
+    """Parse ``key=value`` lines; ``#`` starts a comment, blanks ignored.
+    A file that is not UTF-8 text, or names a key twice, is a ``ConfigError``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = value
     return out
 

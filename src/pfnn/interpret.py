@@ -18,7 +18,7 @@ from .datagen import LabeledImageSet
 from .evalkit import write_csv
 from .imaging import bilinear_resize, heat_colormap, write_ppm
 from .layers import ModelSpec
-from .trainer import predict, predict_layers
+from .trainer import _forward_blocks, predict
 
 
 # ---------------------------------------------------------------------------
@@ -38,14 +38,11 @@ def grad_cam(model: ModelSpec, image: np.ndarray, target_class: int) -> CamMap:
     Gradients are taken at the pre-softmax logit. The raw map is
     ReLU(sum_k alpha_k A_k) over the designated cam layer's channels.
     """
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim == 3:
-        image = image[None]
-    if image.ndim != 4 or image.shape[0] != 1:
-        raise ValueError(f"grad_cam: expected one image, got shape {image.shape}")
+    if image.ndim != 3:
+        raise ValueError(f"grad_cam: expected one (H, W, 1) image, got shape {image.shape}")
     if not 0 <= target_class < model.config.classes:
         raise ValueError(f"grad_cam: target class {target_class} out of range")
-    result = model.forward(Tensor(image), training=False)
+    result = model.forward(Tensor(image[None]), training=False)
     activation = result.captures[model.cam_layer]
     one_hot = np.zeros(result.logits.shape)
     one_hot[0, target_class] = 1.0
@@ -55,7 +52,7 @@ def grad_cam(model: ModelSpec, image: np.ndarray, target_class: int) -> CamMap:
     grads = activation.grad[0]           # (h, w, K)
     alphas = grads.mean(axis=(0, 1))     # (K,)
     raw = np.maximum(activation.data[0] @ alphas, 0.0)
-    up = bilinear_resize(raw, image.shape[1], image.shape[2])
+    up = bilinear_resize(raw, image.shape[0], image.shape[1])
     peak = up.max()
     upsampled = up / peak if peak > 0 else np.zeros_like(up)
     model.zero_grads()
@@ -210,14 +207,17 @@ class FeatureLayerChoice:
 def select_feature_layer(model: ModelSpec, dataset: LabeledImageSet) -> FeatureLayerChoice:
     """Pick the candidate vector layer whose first three principal
     components explain the most cumulative variance (ties keep network
-    order). One inference pass captures every candidate; the choice keeps
+    order), skipping constant candidates; a ``ValueError`` names them when
+    all are. One inference pass captures every candidate; the choice keeps
     that pass's probabilities and the chosen layer's features."""
-    probs, captured = predict_layers(model, dataset.images, model.feature_candidates)
+    probs, captured = _forward_blocks(model, dataset.images, model.feature_candidates)
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     best_name = None
     best_score = -1.0
     tie = False
     for name, feats in captured.items():
+        if (feats == feats[0]).all():  # zero total variance: nothing to project
+            continue
         k = min(3, feats.shape[0] - 1, feats.shape[1])
         result = pca(feats, k, layer=name)
         cumulative = np.cumsum(result.ratios)
@@ -228,6 +228,8 @@ def select_feature_layer(model: ModelSpec, dataset: LabeledImageSet) -> FeatureL
             best_name = name
         elif score == best_score:
             tie = True
+    if best_name is None:
+        raise ValueError(f"pca: every candidate layer is constant: {', '.join(captured)}")
     return FeatureLayerChoice(layer=best_name, curves=curves, tie=tie,
                               features=captured[best_name], probs=probs)
 

@@ -156,17 +156,15 @@ class ModelSpec:
         candidates.append("head_features")
         self.feature_candidates = tuple(candidates)
 
-    def forward(self, images, training: bool = False, rng: np.random.Generator | None = None) -> ForwardResult:
-        x = images if isinstance(images, Tensor) else Tensor(images)
-        if x.data.ndim != 4 or x.shape[-1] != INPUT_CHANNELS:
-            raise ShapeError(f"model input must be (N,H,W,{INPUT_CHANNELS}), got {x.shape}")
+    def forward(self, images: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> ForwardResult:
+        if images.data.ndim != 4 or images.shape[-1] != INPUT_CHANNELS:
+            raise ShapeError(f"model input must be (N,H,W,{INPUT_CHANNELS}), got {images.shape}")
         captures: dict[str, Tensor] = {}
-        t = x
+        t = images
         for i in range(1, len(self.config.conv_widths) + 1):
             # no conv bias: the batchnorm after it subtracts the channel mean
             t = conv2d(t, self.params[f"conv{i}/kernel"])
-            t = batch_norm(t, self.params[f"bn{i}/gamma"], self.params[f"bn{i}/beta"],
-                           self.bn[f"bn{i}"], training, relu=True)
+            t = batch_norm(t, self.params[f"bn{i}/gamma"], self.params[f"bn{i}/beta"], self.bn[f"bn{i}"], training)
             captures[f"conv{i}_relu"] = t
 
         if self.config.enable_gagm:

@@ -100,8 +100,6 @@ def feature_smoothing_loss(features: Tensor, labels) -> Tensor:
 
 def total_loss(probs: Tensor, labels, features: Tensor, lambda_fs: float) -> Tensor:
     """cross_entropy + lambda_fs * feature_smoothing_loss."""
-    if lambda_fs < 0:
-        raise ValueError(f"total_loss: lambda_fs must be nonnegative, got {lambda_fs}")
     ce = cross_entropy(probs, labels)
     if lambda_fs == 0:
         return ce

@@ -192,6 +192,8 @@ class Plateau:
 PREDICT_BLOCK_PIXELS = 8192
 
 
+# Private, so the benchmark tracer, which wraps trainer's public names, leaves
+# it unwrapped there, and predict's block forwards stay children of predict.
 def _forward_blocks(
     model: ModelSpec, images: np.ndarray, layers: tuple[str, ...],
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -243,18 +245,8 @@ def predict(
     Raises ``ValueError`` on zero images.
     """
     source = feature_layer or model.feature_layer
-    # the loop is called directly, not through predict_layers, so the
-    # benchmark tracer sees each block forward as a child of predict
     probs, captured = _forward_blocks(model, images, (source,))
     return probs, captured[source]
-
-
-def predict_layers(
-    model: ModelSpec, images: np.ndarray, layers: tuple[str, ...],
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Class probabilities and the features of every layer in ``layers``,
-    from one blocked pass like ``predict``'s."""
-    return _forward_blocks(model, images, layers)
 
 
 def _eval_split(model, images, labels, lambda_fs: float, source: str) -> tuple[float, float]:

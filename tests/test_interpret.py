@@ -8,6 +8,7 @@ import pytest
 
 from oracles import pca_eigh
 
+from pfnn.autodiff import Tensor
 from pfnn.datagen import GenSpec, generate
 from pfnn.imaging import heat_colormap, to_uint8
 from pfnn.interpret import (
@@ -48,7 +49,7 @@ class TestGradCam:
         model = gap_selector_model(pick=1)
         image = rng.uniform(0, 1, (10, 10, 1))
         cam = grad_cam(model, image, target_class=2)
-        activation = model.forward(image[None]).captures[model.cam_layer].data[0]
+        activation = model.forward(Tensor(image[None])).captures[model.cam_layer].data[0]
         channel = np.maximum(activation[:, :, 1], 0.0)
         cos = (cam.raw.ravel() @ channel.ravel()) / (
             np.linalg.norm(cam.raw) * np.linalg.norm(channel))
@@ -75,9 +76,13 @@ class TestGradCam:
         model = build_model(ModelConfig(conv_widths=(3, 5), head_units=8, dropout_rate=0.0, seed=4))
         image = rng.uniform(0, 1, (8, 8, 1))
         cam = grad_cam(model, image, target_class=1)
-        activation = model.forward(image[None]).captures[model.cam_layer].data[0]
+        activation = model.forward(Tensor(image[None])).captures[model.cam_layer].data[0]
         rebuilt = np.maximum(activation @ cam.alphas, 0.0)
         np.testing.assert_allclose(cam.raw, rebuilt, atol=1e-9)
+
+    def test_rejects_anything_but_one_image(self):
+        with pytest.raises(ValueError, match=r"one \(H, W, 1\) image, got shape \(1, 8, 8, 1\)"):
+            grad_cam(gap_selector_model(), np.zeros((1, 8, 8, 1)), target_class=2)
 
     def test_target_class_validated(self):
         model = gap_selector_model()
@@ -320,6 +325,20 @@ class TestSelectFeatureLayer:
         choice = select_feature_layer(stub, data)
         assert choice.layer == "first"
         assert choice.tie
+
+    def test_constant_candidate_gets_no_curve_and_is_not_chosen(self):
+        data = generate(GenSpec((6, 6, 6), side=8))
+        model = build_model(ModelConfig(conv_widths=(2,), head_units=4, seed=0))
+        model.params["head/weight"].data[:] = 0.0
+        model.params["head/bias"].data[:] = -1.0  # every head ReLU is dead
+        choice = select_feature_layer(model, data)
+        assert list(choice.curves) == ["pool_fused", "attended"]
+        assert choice.layer in choice.curves
+
+    def test_every_candidate_constant_is_an_error_naming_them(self):
+        stub = _StubModel({"first": np.ones((6, 3)), "second": np.zeros((6, 2))})
+        with pytest.raises(ValueError, match="constant: first, second$"):
+            select_feature_layer(stub, self.make_dataset(6))
 
     def test_one_forward_pass_captures_every_candidate(self, monkeypatch):
         data = generate(GenSpec(counts=(20, 25, 30), side=16, seed=12))

@@ -148,7 +148,7 @@ class TestSeVector:
 class TestBuildModel:
     def test_default_config_has_three_way_output(self):
         model = build_model(ModelConfig())
-        out = model.forward(np.zeros((2, 12, 12, 1)))
+        out = model.forward(Tensor(np.zeros((2, 12, 12, 1))))
         assert out.probs.shape == (2, 3)
         np.testing.assert_allclose(out.probs.data.sum(axis=1), 1.0, atol=1e-12)
 
@@ -160,7 +160,7 @@ class TestBuildModel:
 
     def test_penultimate_feature_width_is_head_units(self):
         model = build_model(ModelConfig(head_units=256))
-        out = model.forward(np.zeros((1, 10, 10, 1)))
+        out = model.forward(Tensor(np.zeros((1, 10, 10, 1))))
         assert out.captures["head_features"].shape == (1, 256)
         assert model.feature_layer == "head_features"
 
@@ -179,7 +179,7 @@ class TestBuildModel:
     def test_cam_layer_is_last_conv(self):
         model = build_model(ModelConfig(conv_widths=(4, 8, 16)))
         assert model.cam_layer == "conv3_relu"
-        out = model.forward(np.zeros((1, 9, 9, 1)))
+        out = model.forward(Tensor(np.zeros((1, 9, 9, 1))))
         assert out.captures["conv3_relu"].shape == (1, 9, 9, 16)
 
     def test_feature_candidates_follow_ablation_flags(self):
@@ -191,7 +191,7 @@ class TestBuildModel:
     def test_batched_forward_matches_gagm_op(self):
         rng = np.random.default_rng(8)
         model = build_model(ModelConfig(conv_widths=(3,), enable_sevector=False, seed=2))
-        x = rng.uniform(0, 1, (4, 8, 8, 1))
+        x = Tensor(rng.uniform(0, 1, (4, 8, 8, 1)))
         out = model.forward(x)
         fm = out.captures["conv1_relu"]
         for i in range(4):
@@ -203,7 +203,7 @@ class TestBuildModel:
         state = model.state_arrays()
         other = build_model(ModelConfig(conv_widths=(2, 3), head_units=8, seed=99))
         other.load_state(state)
-        x = np.random.default_rng(0).uniform(0, 1, (3, 8, 8, 1))
+        x = Tensor(np.random.default_rng(0).uniform(0, 1, (3, 8, 8, 1)))
         np.testing.assert_array_equal(model.forward(x).probs.data, other.forward(x).probs.data)
 
     def test_load_state_rejects_missing_tensor(self):

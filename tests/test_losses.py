@@ -160,11 +160,6 @@ class TestTotalLoss:
         value = float(total_loss(probs, labels, features, 1.0).data)
         assert value == pytest.approx(np.log(3) + 1.0, abs=1e-12)
 
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError, match="lambda_fs"):
-            total_loss(Tensor(np.full((1, 3), 1 / 3)), np.array([0]),
-                       Tensor(np.zeros((1, 2))), -0.1)
-
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(41)
         logits = Tensor(rng.uniform(-2, 2, (5, 3)), requires_grad=True)

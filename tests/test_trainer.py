@@ -24,8 +24,8 @@ from pfnn.trainer import (
     adam_step,
     PREDICT_BLOCK_PIXELS,
     fit,
+    _forward_blocks,
     predict,
-    predict_layers,
     stratified_split,
     write_history,
 )
@@ -448,7 +448,7 @@ class TestPredict:
         with pytest.raises(ValueError, match="no images"):
             predict(model, np.zeros((0, 8, 8, 1)))
         with pytest.raises(ValueError, match="no images"):
-            predict_layers(model, np.zeros((0, 8, 8, 1)), model.feature_candidates)
+            _forward_blocks(model, np.zeros((0, 8, 8, 1)), model.feature_candidates)
 
     @pytest.mark.parametrize("layers", [(), ("pool_fused", "head_features")], ids=["probs", "captures"])
     def test_overflowing_model_is_one_error_and_no_warning(self, layers):
@@ -456,13 +456,13 @@ class TestPredict:
         model.params["conv1/kernel"].data[:] = 1e308  # finite, but the forward overflows
         images = np.random.default_rng(5).uniform(0, 1, (9, 8, 8, 1))
         with pytest.raises(NonFiniteOutputs, match="not finite"):
-            predict_layers(model, images, layers)
+            _forward_blocks(model, images, layers)
 
-    def test_predict_layers_is_one_pass_matching_predict(self):
+    def test_forward_blocks_is_one_pass_matching_predict(self):
         model = build_model(ModelConfig(conv_widths=(3, 4), head_units=8, seed=2))
         images = np.random.default_rng(4).uniform(0, 1, (70, 16, 16, 1))
         calls = counting_forwards(model)
-        probs, captured = predict_layers(model, images, model.feature_candidates)
+        probs, captured = _forward_blocks(model, images, model.feature_candidates)
         assert calls == [32, 32, 6]
         assert list(captured) == list(model.feature_candidates)
         for name, feats in captured.items():
