@@ -9,7 +9,7 @@ batch normalization. The losses are single nodes of their own
 
 conv2d is im2col convolution: one GEMM of the (kh, kw, Cin) patch matrix
 with the flattened kernel for the output and for the kernel gradient; the
-input gradient runs one GEMM per kernel tap over blocks of whole images.
+input gradient runs one GEMM per kernel tap over the whole batch.
 batch_norm is the conv block's tail, batchnorm then ReLU, as one op with
 the closed-form backward and one affine pass in inference. Leading-axis
 sums (bias grads, batchnorm channel sums, average pooling) are BLAS
@@ -28,7 +28,6 @@ distinct graphs may run on distinct threads.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -253,37 +252,6 @@ def _pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return xp
 
 
-# Output pixels per block of conv2d's input-gradient tap loop: 4 images at
-# side 32, so each tap product and the dx block it adds into stay in cache.
-CONV_DX_BLOCK_PIXELS = 4096
-
-
-def _image_blocks(n: int, pixels: int) -> list[tuple[int, int]]:
-    """(start, length) of the whole-image blocks of conv2d's dx tap loop.
-
-    A block holds about ``CONV_DX_BLOCK_PIXELS`` rows, rounded down to a
-    multiple of 16, and a tail of less than half a block joins the block
-    before it. OpenBLAS rounds the last rows of a product differently
-    when their count is not a multiple of its unroll (seen at odd H*W),
-    and for Cout >= 32 the SkylakeX small-matrix kernel that takes a
-    short product (seen at 64 rows) rounds every row differently. With
-    the two rules every tap row is bit-identical to the row of one
-    product over the whole gradient, on one numpy build, OpenBLAS kernel
-    and BLAS thread: checked on SkylakeX and Haswell. With more BLAS
-    threads OpenBLAS splits a product's rows between the threads by its
-    size, and the rows at the split of the whole product can round
-    differently: seen at 2 threads for sides 22, 26, ..., 38 (H*W = 4
-    mod 16) on Haswell and side 30 with Cout 64 on SkylakeX, never when
-    H*W is a multiple of 16.
-    """
-    unit = 16 // math.gcd(pixels, 16)  # images per 16 rows
-    block = max(unit, CONV_DX_BLOCK_PIXELS // max(1, pixels) // unit * unit)
-    starts = list(range(0, n, block))
-    if len(starts) > 1 and n - starts[-1] < block / 2:
-        starts.pop()
-    return [(start, stop - start) for start, stop in zip(starts, starts[1:] + [n])]
-
-
 def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Stride-1 2-D convolution, channel-last, zero-padded to keep H and W.
 
@@ -292,11 +260,10 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
 
     Backward: dk is one GEMM of the rebuilt patch matrix with the whole
     output gradient, since it sums over every row. dx adds one
-    (rows, Cout) @ (Cout, Cin) product per kernel tap, in (di, dj) order,
-    straight into the unpadded (N, H, W, Cin) gradient; the parts of a
-    tap that fall in the padding are never added. The tap loop runs over
-    blocks of whole images (``_image_blocks``), so each product and the
-    dx block it adds into stay in cache.
+    (N*H*W, Cout) @ (Cout, Cin) product per kernel tap, each over the
+    whole batch, in (di, dj) order straight into the unpadded
+    (N, H, W, Cin) gradient; the parts of a tap that fall in the padding
+    are never added.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: input must be rank-4 (N,H,W,C), got {x.shape}")
@@ -319,17 +286,14 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
             dk = (_im2col(_pad_same(x.data, kh, kw), kh, kw).T @ g.reshape(-1, cout)).reshape(kernel.shape)
         if x.requires_grad:
             dx = np.zeros(x.shape)
-            for start, block in _image_blocks(n, h * w):
-                g_rows = g[start:start + block].reshape(-1, cout)
-                dx_block = dx[start:start + block]
-                for di in range(kh):
-                    # output row i takes tap row i - di + pt, where that row exists
-                    i0, i1 = max(0, di - pt), min(h, h + di - pt)
-                    for dj in range(kw):
-                        j0, j1 = max(0, dj - pl), min(w, w + dj - pl)
-                        tap = (g_rows @ kernel.data[di, dj].T).reshape(-1, h, w, cin)
-                        dx_block[:, i0:i1, j0:j1, :] += \
-                            tap[:, i0 - di + pt:i1 - di + pt, j0 - dj + pl:j1 - dj + pl, :]
+            g_rows = g.reshape(-1, cout)
+            for di in range(kh):
+                # output row i takes tap row i - di + pt, where that row exists
+                i0, i1 = max(0, di - pt), min(h, h + di - pt)
+                for dj in range(kw):
+                    j0, j1 = max(0, dj - pl), min(w, w + dj - pl)
+                    tap = (g_rows @ kernel.data[di, dj].T).reshape(n, h, w, cin)
+                    dx[:, i0:i1, j0:j1, :] += tap[:, i0 - di + pt:i1 - di + pt, j0 - dj + pl:j1 - dj + pl, :]
         return (dx, dk)
 
     return _make(out, "conv2d", (x, kernel), vjp)

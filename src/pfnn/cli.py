@@ -90,6 +90,14 @@ def _class_index(name: str, class_names) -> int:
 # gen-data
 
 
+def _parse_flag(flag: str, parse, text: str):
+    """``parse(text)``, whose ValueError names the flag, as a bad train flag names its key."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def cmd_gen_data(args) -> int:
     holdout = args.holdout is not None
     if holdout != (args.holdout_out is not None):
@@ -99,15 +107,16 @@ def cmd_gen_data(args) -> int:
             raise ValueError(f"--holdout must be positive, got {args.holdout}")
         if Path(args.holdout_out).resolve() == Path(args.out).resolve():
             raise ValueError(f"--holdout-out and --out are the same file: {args.out}")
-    counts = tuple(int(c) for c in args.counts.split(","))
+    counts = _parse_flag("--counts", lambda text: tuple(int(c) for c in text.split(",")), args.counts)
     spec = GenSpec(counts=counts, side=args.side, noise_level=args.noise, seed=args.seed)
     data = generate(spec)
     if args.augment:
         class_name, _, share = args.augment.partition(":")
         if not share:
             raise ValueError(f"--augment expects CLASS:SHARE, got {args.augment!r}")
-        target = _class_index(class_name, data.class_names)
-        data = augment_to_share(data, target, float(share), seed=args.seed)
+        target = _parse_flag("--augment", lambda name: _class_index(name, data.class_names), class_name)
+        data = _parse_flag("--augment", lambda text: augment_to_share(data, target, float(text), seed=args.seed),
+                           share)
     if holdout:
         blind, data = holdout_extract(data, args.holdout, seed=args.seed)
         write_dataset(args.holdout_out, blind)
@@ -151,13 +160,10 @@ _RUN_OUTPUTS = (
 )
 
 
-def cmd_train(args) -> int:
-    exp = _merge_config(args)
-    data = _read_for_model(args.data, exp.model.classes)
-    run_dir = Path(args.out)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    # a rerun into a used directory must not keep the last run's results or hashes
-    data_path = Path(args.data).resolve()
+def _replace_last_run(run_dir: Path, data_path, exp: ExperimentConfig) -> Path:
+    """Delete the last run's results and hashes from ``run_dir`` and write
+    this run's config snapshot; returns the snapshot's path."""
+    data_path = Path(data_path).resolve()
     for pattern in _RUN_OUTPUTS:
         for path in run_dir.glob(pattern):
             if path.resolve() != data_path:  # never the input itself
@@ -165,6 +171,16 @@ def cmd_train(args) -> int:
     for sub in ("eval", "pca", "gradcam"):
         with contextlib.suppress(OSError):
             (run_dir / sub).rmdir()  # only when pfnn's outputs were all it held
+    snapshot = run_dir / "config.snapshot"
+    write_kv_file(snapshot, experiment_to_mapping(exp))
+    return snapshot
+
+
+def cmd_train(args) -> int:
+    exp = _merge_config(args)
+    data = _read_for_model(args.data, exp.model.classes)
+    run_dir = Path(args.out)
+    run_dir.mkdir(parents=True, exist_ok=True)
     # what the run's bytes depend on besides its inputs; run.log is never hashed
     _log(run_dir, f"train start: data={args.data} seed={exp.seed} {blas_environment()}")
 
@@ -174,22 +190,21 @@ def cmd_train(args) -> int:
         pool, test_set = data, None
 
     model = build_model(exp.model)
-    artifacts: list[Path] = []
-    snapshot = run_dir / "config.snapshot"
-    write_kv_file(snapshot, experiment_to_mapping(exp))
-    artifacts.append(snapshot)
-
+    history_path = run_dir / "history.csv"
+    # the last run's files go only once this one has trained or diverged,
+    # so a run that cannot start leaves them as they were
     try:
         run = fit(model, pool, exp.train)
     except TrainingDiverged as exc:
-        write_history(exc.history, run_dir / "history.csv")
+        _replace_last_run(run_dir, args.data, exp)
+        write_history(exc.history, history_path)
         _log(run_dir, f"train diverged: {exc}")
         print(f"error: {exc} (partial history kept)", file=sys.stderr)
         return 1
 
-    history_path = run_dir / "history.csv"
+    snapshot = _replace_last_run(run_dir, args.data, exp)
     write_history(run.history, history_path)
-    artifacts.append(history_path)
+    artifacts = [snapshot, history_path]
     ckpt_path = run_dir / "checkpoint.pfnn"
     save_checkpoint(ckpt_path, model.state_arrays())
     artifacts.append(ckpt_path)

@@ -9,7 +9,6 @@ import pytest
 from oracles import batch_norm_then_relu, conv2d_direct, conv2d_dx_padded, fd_gradient, \
     global_max_pool_first, rel_err
 
-from pfnn import autodiff
 from pfnn.autodiff import (
     BN_EPS,
     BatchNormState,
@@ -425,9 +424,10 @@ class TestBatchNorm:
             batch_norm(Tensor(np.ones((6, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), BatchNormState(2))
 
 
-class TestFusedAndBlockedOpsAreBitIdentical:
-    """The fused and blocked op forms against the forms they replaced,
-    byte for byte (``np.array_equal``, no tolerance)."""
+class TestOpsAreBitIdenticalToReferenceForms:
+    """The fused batchnorm+ReLU, conv2d's unpadded dx and the max-pool
+    gather against the plainer forms they replaced, byte for byte
+    (``np.array_equal``, no tolerance)."""
 
     @staticmethod
     def bn_inputs(shape, seed):
@@ -471,11 +471,7 @@ class TestFusedAndBlockedOpsAreBitIdentical:
     @pytest.mark.parametrize("side", [5, 7, 6])
     @pytest.mark.parametrize("k", [2, 3], ids=["even-k", "odd-k"])
     @pytest.mark.parametrize("cin", [1, 3])
-    def test_conv2d_dx_matches_padded_buffer_loop(self, monkeypatch, n, side, k, cin):
-        # ~10 images a block, which the multiple-of-16-rows rule makes 16 at
-        # odd H*W and 8 at side 6; 44 images end in a partial block
-        monkeypatch.setattr(autodiff, "CONV_DX_BLOCK_PIXELS", 10 * side * side + 3)
-        assert (len(autodiff._image_blocks(n, side * side)) > 1) == (n == 44)
+    def test_conv2d_dx_matches_padded_buffer_loop(self, n, side, k, cin):
         rng = np.random.default_rng(n * 100 + side * 10 + k + cin)
         x = Tensor(rng.uniform(-1, 1, (n, side, side, cin)), requires_grad=True)
         kernel = Tensor(rng.uniform(-1, 1, (k, k, cin, 8)), requires_grad=True)
@@ -483,33 +479,20 @@ class TestFusedAndBlockedOpsAreBitIdentical:
         backward(reduce_sum(mul(conv2d(x, kernel), Tensor(g))))
         assert np.array_equal(x.grad, conv2d_dx_padded(g, kernel.data))
 
+    # model-sized shapes; at 2 BLAS threads OpenBLAS splits a product's rows
+    # between the threads by its size, so every tap product must span the
+    # whole batch as the oracle's does
     @pytest.mark.parametrize("n,side,cin,cout", [
         (1, 32, 8, 16), (5, 32, 8, 16), (9, 32, 8, 16), (11, 32, 8, 16), (16, 32, 8, 16),
-        (65, 8, 8, 32), (66, 8, 3, 64),
+        (65, 8, 8, 32), (66, 8, 3, 64), (33, 22, 8, 16), (17, 22, 8, 16), (33, 26, 8, 16), (9, 30, 8, 64),
     ])
-    def test_conv2d_dx_matches_padded_buffer_loop_at_full_block_size(self, n, side, cin, cout):
-        # side 32 runs blocks of 4 images, so 11 is 4 + 4 + a partial 3. At
-        # side 8 a block is 64 images, and the 1- or 2-image tail joins it:
-        # alone, its product is short enough for SkylakeX's small-matrix
-        # kernel, which rounds differently from Cout 32 on
+    def test_conv2d_dx_matches_padded_buffer_loop_at_model_shapes(self, n, side, cin, cout):
         rng = np.random.default_rng(n)
         x = Tensor(rng.uniform(-1, 1, (n, side, side, cin)), requires_grad=True)
         kernel = Tensor(rng.uniform(-1, 1, (3, 3, cin, cout)))
         g = rng.uniform(-1, 1, (n, side, side, cout))
         backward(reduce_sum(mul(conv2d(x, kernel), Tensor(g))))
         assert np.array_equal(x.grad, conv2d_dx_padded(g, kernel.data))
-
-    @pytest.mark.parametrize("n,pixels", [(1, 1024), (16, 1024), (11, 1024), (9, 1024), (5, 25),
-                                          (500, 25), (333, 36), (7, 9409), (4097, 1), (0, 1024)])
-    def test_dx_blocks_are_whole_images_in_multiples_of_16_rows(self, n, pixels):
-        blocks = autodiff._image_blocks(n, pixels)
-        assert [start for start, _ in blocks] == list(np.cumsum([0] + [b for _, b in blocks])[:-1])
-        assert sum(b for _, b in blocks) == n
-        for _, length in blocks[:-1]:
-            assert length * pixels % 16 == 0
-            assert length * pixels <= max(autodiff.CONV_DX_BLOCK_PIXELS, 16 * pixels)
-        if len(blocks) > 1:  # a short tail joins the block before it
-            assert blocks[-1][1] >= blocks[0][1] / 2
 
     @pytest.mark.parametrize("seed", range(4))
     def test_global_max_pool_matches_first_max_gather_with_ties(self, seed):

@@ -127,6 +127,20 @@ class TestGenData:
         assert len(err) == 1 and err[0] == "error: --holdout-out and --out are the same file: h.mids"
         assert not (tmp_path / "h.mids").exists()
 
+    @pytest.mark.parametrize("flag,value,expected", [
+        ("--counts", "5,5,5,", "--counts: invalid literal for int() with base 10: ''"),
+        ("--augment", "normal:abc", "--augment: could not convert string to float: 'abc'"),
+        ("--augment", "foo:0.3", "--augment: unknown class 'foo'; choose from normal, benign, malignant"),
+        ("--augment", "9:0.3", "--augment: class index 9 out of range"),
+        ("--augment", "normal:1.5", "--augment: target share 1.5 must lie in (current share 0.3333, 1)"),
+    ], ids=["counts-trailing-comma", "augment-share", "augment-unknown-class", "augment-class-index",
+            "augment-share-range"])
+    def test_unparsable_value_is_one_error_line_naming_the_flag(self, tmp_path, capsys, flag, value, expected):
+        capsys.readouterr()
+        assert main(["gen-data", "--counts", "5,5,5", "--side", "8", flag, value,
+                     "--out", str(tmp_path / "d.mids")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
+        assert not (tmp_path / "d.mids").exists()
 
     @pytest.mark.parametrize("holdout", [[], ["--holdout", "0"]], ids=["no-holdout", "holdout-0"])
     def test_holdout_out_without_a_holdout_is_an_error(self, tmp_path, capsys, holdout):
@@ -355,6 +369,27 @@ class TestTrain:
         assert main(args) == 0
         assert sorted(p.name for p in (run / "eval").iterdir()) == ["notes.txt", "table1.csv"]
         assert (run / "eval" / "table1.csv").read_bytes() == data.read_bytes()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--val-fraction", "0.005", "validation split is empty"),
+        ("--test-fraction", "0.97", "has 1 sample(s)"),
+    ], ids=["empty-val-split", "one-image-classes"])
+    def test_rerun_that_cannot_start_leaves_the_last_run_untouched(self, mini, tmp_path, capsys,
+                                                                   flag, value, message):
+        data, run = mini
+        used = tmp_path / "used"
+        shutil.copytree(run, used)
+        assert main(["eval", "--run", str(used)]) == 0
+
+        def files():  # run.log gains the start line
+            return {p: p.read_bytes() for p in used.rglob("*") if p.is_file() and p.name != "run.log"}
+
+        before = files()
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(used), *TRAIN_ARGS, flag, value]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert files() == before
 
     def test_manifest_is_replaced_whole(self, mini, tmp_path):
         data, run = mini
