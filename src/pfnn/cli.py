@@ -45,9 +45,7 @@ from .evalkit import (
     parse_report,
     write_report,
     write_roc_csv,
-    write_scatter_pairs,
-    write_table1,
-    write_table2,
+    write_tables,
 )
 from .interpret import (
     cam_case_gallery,
@@ -182,10 +180,10 @@ def cmd_train(args) -> int:
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
     # what the run's bytes depend on besides its inputs; run.log is never hashed
-    _log(run_dir, f"train start: data={args.data} seed={exp.seed} {blas_environment()}")
+    _log(run_dir, f"train start: data={args.data} seed={exp.train.seed} {blas_environment()}")
 
     if exp.test_fraction > 0:
-        pool, test_set = stratified_split(data, exp.test_fraction, exp.seed, ("trainpool", "test"))
+        pool, test_set = stratified_split(data, exp.test_fraction, exp.train.seed, ("trainpool", "test"))
     else:
         pool, test_set = data, None
 
@@ -255,7 +253,7 @@ def _add_run_command(sub, command: str, func, help: str, repeat_split: bool = Fa
 
 
 def _open_run(args) -> tuple[ModelSpec, dict[str, LabeledImageSet], Path]:
-    """The run's model, the datasets to read by split name, and the output directory."""
+    """The run's model, the datasets to read by split name, and the output directory (not yet made)."""
     run_dir = Path(args.run)
     snapshot = run_dir / "config.snapshot"
     if not snapshot.exists():
@@ -271,7 +269,6 @@ def _open_run(args) -> tuple[ModelSpec, dict[str, LabeledImageSet], Path]:
         if len(datasets[split]) == 0:
             raise ValueError(f"{path}: dataset holds no images")
     out_dir = Path(args.out) if args.out else run_dir / args.command
-    out_dir.mkdir(parents=True, exist_ok=True)
     return model, datasets, out_dir
 
 
@@ -283,14 +280,6 @@ def _finite_outputs_on(args, split: str):
     except NonFiniteOutputs:
         raise ValueError(f"{Path(args.run) / 'checkpoint.pfnn'}: the model's outputs on split "
                          f"{split!r} are not finite") from None
-
-
-def _write_tables(reports, out_dir: Path) -> list[Path]:
-    """The cross-model comparison tables, one row per report."""
-    paths = [out_dir / "table1.csv", out_dir / "table2.csv", out_dir / "scatter_pairs.csv"]
-    for write, path in zip((write_table1, write_table2, write_scatter_pairs), paths):
-        write(reports, path)
-    return paths
 
 
 def cmd_eval(args) -> int:
@@ -307,11 +296,12 @@ def cmd_eval(args) -> int:
     if test and "train" in reports:
         test.overfit_acc, test.overfit_f1, test.overfit_loss = overfit_deltas(reports["train"], test)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: list[Path] = []
     for split, report in reports.items():
         write_report(report, out_dir / f"report_{split}.json")
         artifacts += [out_dir / f"report_{split}.json", *write_roc_csv(report, out_dir)]
-    artifacts += _write_tables([test or next(iter(reports.values()))], out_dir)
+    artifacts += write_tables([test or next(iter(reports.values()))], out_dir)
 
     for split, report in reports.items():
         print(f"{split}: acc {report.accuracy:.4f}, loss {report.loss:.4f}, "
@@ -326,9 +316,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcam(args) -> int:
+    for flag, count in (("--correct", args.correct), ("--wrong", args.wrong)):
+        if count < 0:
+            raise ValueError(f"{flag} must be >= 0, got {count}")
     model, datasets, out_dir = _open_run(args)
     [(split, dataset)] = datasets.items()
-    target = _class_index(args.target_class, dataset.class_names)
+    target = _parse_flag("--class", lambda name: _class_index(name, dataset.class_names), args.target_class)
     with _finite_outputs_on(args, split):
         gallery = cam_case_gallery(model, dataset, args.correct, args.wrong, out_dir, target)
     print(f"wrote {len(gallery.cases)} overlays to {out_dir} ({gallery.note})")
@@ -336,19 +329,20 @@ def cmd_gradcam(args) -> int:
 
 
 def cmd_pca(args) -> int:
+    if args.components < 1:
+        raise ValueError(f"--components must be >= 1, got {args.components}")
     model, datasets, out_dir = _open_run(args)
     [(split, dataset)] = datasets.items()
     layer = args.layer
+    curves = {}
     if layer == "auto":
         with _finite_outputs_on(args, split):
             choice = select_feature_layer(model, dataset)
-        layer, probs, feats = choice.layer, choice.probs, choice.features
-        for name, (ratios, cumulative) in choice.curves.items():
-            write_variance_curve(ratios, cumulative, out_dir / f"variance_{name}.csv")
+        layer, probs, feats, curves = choice.layer, choice.probs, choice.features, choice.curves
         selection_note = "highest cumulative explained variance over the first 3 components"
         if choice.tie:
             selection_note += " (tie broken by network order)"
-        skipped = [name for name in model.feature_candidates if name not in choice.curves]
+        skipped = [name for name in model.feature_candidates if name not in curves]
         if skipped:
             selection_note += f"; skipped constant layer(s) {', '.join(skipped)}"
     elif layer in model.feature_candidates:
@@ -356,11 +350,14 @@ def cmd_pca(args) -> int:
         with _finite_outputs_on(args, split):
             probs, feats = predict(model, dataset.images, feature_layer=layer)
     else:
-        raise ValueError(f"unknown feature layer {layer!r}; "
+        raise ValueError(f"--layer: unknown feature layer {layer!r}; "
                          f"candidates: {', '.join(model.feature_candidates)}")
     k = min(args.components, feats.shape[0] - 1, feats.shape[1])
     result = pca(feats, k, layer=layer)
     ratio = float(np.sum(result.ratios))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (ratios, cumulative) in curves.items():
+        write_variance_curve(ratios, cumulative, out_dir / f"variance_{name}.csv")
     write_projections(result, dataset.labels, probs.argmax(axis=1), out_dir / "projections.csv")
     write_variance_curve(result.ratios, np.cumsum(result.ratios), out_dir / "variance_selected.csv")
     write_kv_file(out_dir / "pca_meta.txt", {"layer": layer, "selection": selection_note,
@@ -379,7 +376,7 @@ def cmd_report(args) -> int:
         reports.append(parse_report(path))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_tables(reports, out_dir)
+    write_tables(reports, out_dir)
     print(f"compared {len(reports)} models into {out_dir}")
     for r in reports:
         print(f"  {r.model}: acc {r.accuracy:.4f}, macro F1 {r.macro_f1:.4f}, recall_min {r.recall_min:.4f}")

@@ -60,10 +60,6 @@ class ExperimentConfig:
         if not 0.0 <= self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in [0,1), got {self.test_fraction}")
 
-    @property
-    def seed(self) -> int:
-        return self.train.seed
-
 
 _TRUE = {"true", "on", "yes", "1"}
 _FALSE = {"false", "off", "no", "0"}

@@ -29,6 +29,9 @@ from .imaging import bilinear_resize
 
 CLASS_NAMES = ("normal", "benign", "malignant")
 MAGIC = b"MIDS1"
+# a blob's amplitude and its Gaussian sigma in pixels are drawn uniformly from these
+BLOB_INTENSITY = (0.25, 0.45)
+BLOB_RADIUS = (2.5, 5.0)
 
 
 @dataclass
@@ -65,8 +68,6 @@ class GenSpec:
     counts: tuple[int, int, int]
     side: int = 32
     noise_level: float = 0.05
-    blob_intensity: tuple[float, float] = (0.25, 0.45)
-    blob_radius: tuple[float, float] = (2.5, 5.0)
     spike_intensity: tuple[float, float] = (0.93, 1.0)
     seed: int = 0
 
@@ -81,12 +82,9 @@ class GenSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (self.noise_level >= 0 and math.isfinite(self.noise_level)):
             raise ValueError(f"noise_level must be finite and >= 0, got {self.noise_level}")
-        for key in ("blob_intensity", "blob_radius", "spike_intensity"):
-            lo, hi = getattr(self, key)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ValueError(f"{key} must be finite (lo, hi) with lo <= hi, got {getattr(self, key)}")
-        if not self.blob_radius[0] > 0:
-            raise ValueError(f"blob_radius lower bound must be > 0, got {self.blob_radius}")
+        lo, hi = self.spike_intensity
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"spike_intensity must be finite (lo, hi) with lo <= hi, got {self.spike_intensity}")
 
 
 # Pixels per chunk of ``generate`` (64 images at side 32, 16 at side 64).
@@ -121,7 +119,7 @@ def generate(spec: GenSpec) -> LabeledImageSet:
     # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), so one random(4) per
     # blob, scaled per chunk, draws amplitude, radius and centre to the same values
     centre = (0.25 * side, 0.75 * side)
-    bounds = np.array([spec.blob_intensity, spec.blob_radius, centre, centre])  # (4, [lo, hi])
+    bounds = np.array([BLOB_INTENSITY, BLOB_RADIUS, centre, centre])  # (4, [lo, hi])
     blob_lo, blob_span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     coarse = np.empty((per_chunk, 4, 4))
     noise = np.empty((per_chunk, side, side))

@@ -273,35 +273,29 @@ def write_csv(path, header, rows) -> None:
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def _write_table(reports, path, columns) -> None:
-    """One row per report: the model name, then each metric column. A metric
-    that parsed from a JSON integer still prints as a float."""
-    rows = []
-    for r in reports:
-        values = (getattr(r, name) for name in columns[1:])
-        rows.append([r.model, *(v if v is None else float(v) for v in values)])
-    write_csv(path, columns, rows)
-
-
-def write_table1(reports, path) -> None:
-    """Global performance and overfitting table, one row per model."""
-    _write_table(reports, path, TABLE1_FIELDS)
-
-
-def write_table2(reports, path) -> None:
-    """Inter-class equity and dispersion table, one row per model."""
-    _write_table(reports, path, TABLE2_FIELDS)
-
-
-def write_scatter_pairs(reports, path) -> None:
-    """Scatter-ready (x, y) rows for the metric pairs the figures plot."""
+def write_tables(reports, out_dir) -> list[Path]:
+    """Write the cross-model tables into ``out_dir``, one row per report, and
+    return their paths: table1.csv (global performance and overfitting),
+    table2.csv (inter-class equity and dispersion) and scatter_pairs.csv (the
+    metric pairs the figures plot). A JSON integer metric prints as a float."""
+    out_dir = Path(out_dir)
+    paths = []
+    for name, columns in (("table1.csv", TABLE1_FIELDS), ("table2.csv", TABLE2_FIELDS)):
+        rows = []
+        for r in reports:
+            values = (getattr(r, column) for column in columns[1:])
+            rows.append([r.model, *(v if v is None else float(v) for v in values)])
+        paths.append(out_dir / name)
+        write_csv(paths[-1], columns, rows)
     rows = []
     for r in reports:
         for x_name, y_name in SCATTER_PAIRS:
             x, y = getattr(r, x_name), getattr(r, y_name)
             if x is not None and y is not None:
                 rows.append([r.model, f"{x_name}_vs_{y_name}", float(x), float(y)])
-    write_csv(path, ["model", "pair", "x", "y"], rows)
+    paths.append(out_dir / "scatter_pairs.csv")
+    write_csv(paths[-1], ["model", "pair", "x", "y"], rows)
+    return paths
 
 
 def write_roc_csv(report: EvalReport, out_dir) -> list[Path]:

@@ -11,8 +11,8 @@ def bilinear_resize(planes: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     each output pixel is the same expression as for a lone 2-D plane."""
     planes = np.asarray(planes, dtype=np.float64)
     h, w = planes.shape[-2:]
-    ys = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
-    xs = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
+    ys = np.linspace(0.0, h - 1.0, out_h)
+    xs = np.linspace(0.0, w - 1.0, out_w)
     y0 = np.floor(ys).astype(int)
     x0 = np.floor(xs).astype(int)
     y1 = np.minimum(y0 + 1, h - 1)
@@ -44,17 +44,11 @@ def heat_colormap(values: np.ndarray) -> np.ndarray:
     )
 
 
-def to_uint8(rgb: np.ndarray) -> np.ndarray:
-    return np.clip(np.round(np.asarray(rgb) * 255.0), 0, 255).astype(np.uint8)
-
-
 def write_ppm(path, rgb: np.ndarray) -> None:
-    """Write an (H, W, 3) image as binary PPM (P6). Floats are taken as [0,1]."""
-    rgb = np.asarray(rgb)
+    """Write an (H, W, 3) image of [0, 1] floats as binary PPM (P6)."""
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError(f"write_ppm: expected (H,W,3), got {rgb.shape}")
-    if rgb.dtype != np.uint8:
-        rgb = to_uint8(rgb)
+    rgb = np.clip(np.round(rgb * 255.0), 0, 255).astype(np.uint8)
     h, w, _ = rgb.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))

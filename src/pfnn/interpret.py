@@ -72,7 +72,7 @@ class CamCase:
     predicted: int
     confidence: float
     kind: str  # "correct" | "wrong"
-    path: str
+    path: str  # the PPM's file name, relative to the gallery directory
 
 
 @dataclass
@@ -88,14 +88,15 @@ def cam_case_gallery(
     """Emit side-by-side original/overlay images for the highest-confidence
     correct cases of ``target_class`` and its most confident errors.
 
-    Writes ``case_<id>_<kind>.ppm`` files plus ``index.csv``; when fewer
-    cases exist than requested the note says so. A negative count is an error.
+    Writes ``case_<id>_<kind>.ppm`` files plus ``index.csv``, which lists them
+    by file name; when fewer cases exist than requested the note says so.
+    A negative count is an error.
     """
     if min(n_correct, n_wrong) < 0:
         raise ValueError(f"case counts must be >= 0, got n_correct={n_correct}, n_wrong={n_wrong}")
+    probs, _ = predict(model, dataset.images)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    probs, _ = predict(model, dataset.images)
     preds = probs.argmax(axis=1)
     confidence = probs[np.arange(len(dataset)), preds]
     is_target = dataset.labels == target_class
@@ -112,11 +113,11 @@ def cam_case_gallery(
             gray = np.repeat(dataset.images[i].astype(np.float64), 3, axis=-1)
             overlay = cam_overlay(dataset.images[i], cam.upsampled)
             panel = np.concatenate([gray, overlay], axis=1)
-            path = out_dir / f"case_{i}_{kind}.ppm"
-            write_ppm(path, panel)
+            name = f"case_{i}_{kind}.ppm"
+            write_ppm(out_dir / name, panel)
             np.savetxt(out_dir / f"case_{i}_{kind}_raw.csv", cam.raw, delimiter=",")
             cases.append(CamCase(i, int(dataset.labels[i]), int(preds[i]),
-                                 float(confidence[i]), kind, str(path)))
+                                 float(confidence[i]), kind, name))
     note_parts = []
     if len(correct_idx) < n_correct:
         note_parts.append(f"only {len(correct_idx)} of {n_correct} requested correct cases exist")

@@ -165,7 +165,7 @@ class Plateau:
     ``min_delta`` on the best seen, and the wait counter resets when it fires.
     ``fit`` takes both from a ``TrainConfig``, which checks their ranges."""
 
-    def __init__(self, patience: int, min_delta: float = 1e-4):
+    def __init__(self, patience: int, min_delta: float):
         self.patience = patience
         self.min_delta = min_delta
         self.best = math.inf

@@ -4,10 +4,13 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -170,7 +173,7 @@ class TestTrain:
             digest, name = line.split()
             assert sha256(run / name) == digest
 
-    def test_rerun_from_snapshot_is_bit_identical(self, mini, tmp_path, monkeypatch):
+    def test_rerun_from_snapshot_is_bit_identical(self, mini, tmp_path):
         """A rerun from the config snapshot, then eval, pca, gradcam and report
         on each run, write the same bytes: every file but run.log."""
         data, run = mini
@@ -179,11 +182,10 @@ class TestTrain:
         assert main(["train", "--data", str(data), "--out", str(second / "run"),
                      "--config", str(run / "config.snapshot")]) == 0
         for root in (first, second):
-            monkeypatch.chdir(root)  # index.csv lists the gallery paths as given
             for argv in (["eval", "--split", "train", "--split", "test"], ["pca"],
                          ["gradcam", "--correct", "2", "--wrong", "2"]):
-                assert main([*argv, "--run", "run"]) == 0
-            assert main(["report", "--compare", "run", "--out", "comparison"]) == 0
+                assert main([*argv, "--run", str(root / "run")]) == 0
+            assert main(["report", "--compare", str(root / "run"), "--out", str(root / "comparison")]) == 0
 
         def outputs(root):
             return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
@@ -546,9 +548,8 @@ class TestGradcamCommand:
         capsys.readouterr()
         assert main(["gradcam", "--run", str(run), flag, "-1", "--out", str(tmp_path / "g")]) == 1
         err = capsys.readouterr().err.splitlines()
-        counts = "n_correct=-1, n_wrong=3" if flag == "--correct" else "n_correct=3, n_wrong=-1"
-        assert err == [f"error: case counts must be >= 0, got {counts}"]
-        assert not list((tmp_path / "g").glob("case_*"))
+        assert err == [f"error: {flag} must be >= 0, got -1"]
+        assert not (tmp_path / "g").exists()
 
 
 class TestPcaCommand:
@@ -599,6 +600,21 @@ class TestPcaCommand:
         monkeypatch.setattr(ModelSpec, "forward", counted)
         assert main(["pca", "--run", str(run), "--layer", "auto", "--out", str(tmp_path)]) == 0
         assert sum(images_forwarded) == len(read_dataset(run / "test.mids"))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["pca", "--components", "0"], "--components must be >= 1, got 0"),
+    (["pca", "--layer", "not_a_layer"], "--layer: unknown feature layer 'not_a_layer'; candidates: "),
+    (["gradcam", "--class", "foo"], "--class: unknown class 'foo'; choose from normal, benign, malignant"),
+    (["gradcam", "--class", "7"], "--class: class index 7 out of range"),
+], ids=["components", "layer", "class-name", "class-index"])
+def test_rejected_flag_is_one_error_line_naming_it_and_writes_nothing(mini, tmp_path, capsys, argv, message):
+    _, run = mini
+    capsys.readouterr()
+    assert main([*argv, "--run", str(run), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 class TestEmptySplit:
@@ -821,6 +837,26 @@ class TestReportCommand:
         assert main(["report", "--compare", str(run), "--out", str(tmp_path / "c")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "report_test.json" in err[0]
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    """``python -m pfnn.cli`` as a user runs it: ``sys.exit(main())`` turns the
+    result into the exit code, and argparse's usage error exits 2."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def pfnn(*argv):
+        return subprocess.run([sys.executable, "-m", "pfnn.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = pfnn("gen-data", "--counts", "2,2,2", "--side", "8", "--out", "d.mids")
+    assert done.returncode == 0, done.stderr
+    assert len(read_dataset(tmp_path / "d.mids")) == 6
+    rejected = pfnn("gen-data", "--counts", "5,5", "--out", "e.mids")
+    assert rejected.returncode == 1
+    assert len(rejected.stderr.splitlines()) == 1 and rejected.stderr.startswith("error: ")
+    assert not (tmp_path / "e.mids").exists()
+    assert pfnn("gen-data", "--counts", "3,3,3").returncode == 2
 
 
 def readme_recipe() -> list[list[str]]:

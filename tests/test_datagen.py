@@ -9,6 +9,8 @@ import pytest
 
 from pfnn import datagen
 from pfnn.datagen import (
+    BLOB_INTENSITY,
+    BLOB_RADIUS,
     CLASS_NAMES,
     MAGIC,
     GenSpec,
@@ -58,10 +60,9 @@ GOLDEN = {
     "normal-chunk-then-malignant": (
         GenSpec((70, 0, 5), side=32, seed=11),
         "d75e22ded5c01b59f23bed5467a17cc4b8d86bcaeba972553dbec5cc5e4e91ac"),
-    "custom-noise-blob-spike": (
-        GenSpec((3, 3, 3), side=20, seed=7, noise_level=0.2, blob_intensity=(0.1, 0.9),
-                blob_radius=(1.0, 2.0), spike_intensity=(0.5, 0.6)),
-        "02271f334b9d7102c66c1567c914125cb3bbb900f3fba25fbb9e04639697f6db"),
+    "custom-noise-spike": (
+        GenSpec((3, 3, 3), side=20, seed=7, noise_level=0.2, spike_intensity=(0.5, 0.6)),
+        "4665a27d60460d4589953bd58754a6776247a2e2e263fe49e86e4ebde89cd3e2"),
 }
 
 
@@ -77,8 +78,8 @@ def render_by_image(spec: GenSpec) -> np.ndarray:
         img = bilinear_resize(rng.uniform(0.15, 0.45, (4, 4)), side, side)
         img += rng.normal(0.0, spec.noise_level, (side, side))
         if label >= 1:
-            amp = rng.uniform(*spec.blob_intensity)
-            sigma = rng.uniform(*spec.blob_radius)
+            amp = rng.uniform(*BLOB_INTENSITY)
+            sigma = rng.uniform(*BLOB_RADIUS)
             cy = rng.uniform(0.25 * side, 0.75 * side)
             cx = rng.uniform(0.25 * side, 0.75 * side)
             img += amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma * sigma))
@@ -98,7 +99,7 @@ class TestGenerate:
     @pytest.mark.parametrize("spec", [
         GenSpec((3, 5, 40), side=8, seed=21),
         GenSpec((25, 30, 35), side=33, seed=22, noise_level=0.01),
-        GenSpec((0, 9, 8), side=70, seed=23, blob_radius=(6.0, 9.0)),
+        GenSpec((0, 9, 8), side=70, seed=23),
     ], ids=["side8", "side33", "side70"])
     def test_matches_per_image_reference(self, spec):
         assert generate(spec).images.tobytes() == render_by_image(spec).tobytes()
@@ -153,9 +154,7 @@ class TestGenerate:
         ("noise_level", float("nan"), "noise_level must be finite"),
         ("noise_level", float("inf"), "noise_level must be finite"),
         ("noise_level", -0.1, "noise_level must be finite and >= 0, got -0.1"),
-        ("blob_radius", (0.0, 0.0), r"blob_radius lower bound must be > 0, got \(0.0, 0.0\)"),
-        ("blob_radius", (2.0, float("inf")), "blob_radius must be finite"),
-        ("blob_intensity", (float("nan"), 0.4), "blob_intensity must be finite"),
+        ("spike_intensity", (0.9, float("inf")), "spike_intensity must be finite"),
         ("spike_intensity", (1.0, 0.5), r"spike_intensity must be .*lo <= hi, got \(1.0, 0.5\)"),
     ])
     def test_bad_spec_is_an_error_naming_the_field(self, field, value, message):

@@ -19,9 +19,7 @@ from pfnn.evalkit import (
     roc_curve,
     write_csv,
     write_report,
-    write_scatter_pairs,
-    write_table1,
-    write_table2,
+    write_tables,
 )
 
 
@@ -241,10 +239,11 @@ class TestReportFiles:
 
     def test_comparison_tables_have_one_row_per_model(self, tmp_path):
         reports = [self.build(seed=1, model="one"), self.build(seed=2, model="two")]
-        write_table1(reports, tmp_path / "t1.csv")
-        write_table2(reports, tmp_path / "t2.csv")
-        t1 = (tmp_path / "t1.csv").read_text().splitlines()
-        t2 = (tmp_path / "t2.csv").read_text().splitlines()
+        paths = write_tables(reports, tmp_path)
+        assert paths == [tmp_path / "table1.csv", tmp_path / "table2.csv", tmp_path / "scatter_pairs.csv"]
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
+        t1 = paths[0].read_text().splitlines()
+        t2 = paths[1].read_text().splitlines()
         assert t1[0] == "model,accuracy,loss,macro_f1,f1_std,recall_min,recall_std,overfit_acc,overfit_f1,overfit_loss"
         assert t2[0] == "model,f1_mean,f1_std,recall_mean,recall_std"
         assert len(t1) == 3 and len(t2) == 3
@@ -253,8 +252,7 @@ class TestReportFiles:
     def test_scatter_pairs_cover_figure_axes(self, tmp_path):
         report = self.build()
         report.overfit_loss = 0.1
-        write_scatter_pairs([report], tmp_path / "pairs.csv")
-        body = (tmp_path / "pairs.csv").read_text()
+        body = write_tables([report], tmp_path)[2].read_text()
         for pair in ("accuracy_vs_loss", "macro_f1_vs_recall_min",
                      "recall_std_vs_overfit_loss", "f1_mean_vs_recall_mean"):
             assert pair in body
@@ -262,8 +260,8 @@ class TestReportFiles:
     def test_integer_metric_prints_as_float_and_none_as_empty(self, tmp_path):
         doc = asdict(self.build(model="ints"))
         doc["accuracy"], doc["loss"] = 1, 0
-        write_table1([report_from_dict(doc)], tmp_path / "t1.csv")
-        row = (tmp_path / "t1.csv").read_text().splitlines()[1].split(",")
+        table1 = write_tables([report_from_dict(doc)], tmp_path)[0]
+        row = table1.read_text().splitlines()[1].split(",")
         assert row[:3] == ["ints", "1.0", "0.0"]
         assert row[-3:] == ["", "", ""]  # overfit_* are None without a train split
 
@@ -274,8 +272,8 @@ class TestReportFiles:
         report = build_report("perfect", "test", labels, labels, probs, 0.0,
                               ("normal", "benign", "malignant"))
         assert report.macro_f1 == 1.0
-        write_table1([report], tmp_path / "t1.csv")
-        row = (tmp_path / "t1.csv").read_text().splitlines()[1]
+        table1 = write_tables([report], tmp_path)[0]
+        row = table1.read_text().splitlines()[1]
         assert row.split(",")[3] == "1.0"
 
 

@@ -1,7 +1,6 @@
 """Grad-CAM analytic fixtures, Jacobi PCA against eigh, and the galleries."""
 
 import csv
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from oracles import pca_eigh
 
 from pfnn.autodiff import Tensor
 from pfnn.datagen import GenSpec, generate
-from pfnn.imaging import heat_colormap, to_uint8
+from pfnn.imaging import heat_colormap
 from pfnn.interpret import (
     cam_case_gallery,
     cam_overlay,
@@ -124,9 +123,10 @@ class TestCamGallery:
         img = data.images[case.sample_id]
         cam = grad_cam(model, img, 2)
         gray = np.repeat(img.astype(np.float64), 3, axis=-1)
-        panel = to_uint8(np.concatenate([gray, cam_overlay(img, cam.upsampled)], axis=1))
+        panel = np.concatenate([gray, cam_overlay(img, cam.upsampled)], axis=1)
+        panel = np.clip(np.round(panel * 255.0), 0, 255).astype(np.uint8)
         h, w, _ = panel.shape
-        assert Path(case.path).read_bytes() == f"P6\n{w} {h}\n255\n".encode() + panel.tobytes()
+        assert (tmp_path / case.path).read_bytes() == f"P6\n{w} {h}\n255\n".encode() + panel.tobytes()
         # overlay definition: half gray, half colormap
         overlay = cam_overlay(img, cam.upsampled)
         np.testing.assert_allclose(
@@ -155,6 +155,16 @@ class TestCamGallery:
         first = cam_case_gallery(model, data, 2, 2, tmp_path / "a", 2)
         second = cam_case_gallery(model, data, 2, 2, tmp_path / "b", 2)
         assert [c.sample_id for c in first.cases] == [c.sample_id for c in second.cases]
+
+    def test_index_does_not_depend_on_the_output_directory(self, tmp_path):
+        data = generate(GenSpec(counts=(0, 5, 9), side=12, seed=7))
+        model = threshold_model(0.95)
+        for name in ("a", "b"):
+            cam_case_gallery(model, data, 2, 2, tmp_path / name, 2)
+        index = (tmp_path / "a" / "index.csv").read_bytes()
+        assert index == (tmp_path / "b" / "index.csv").read_bytes()
+        paths = [row["path"] for row in csv.DictReader(index.decode().splitlines())]
+        assert paths and all((tmp_path / "a" / path).is_file() for path in paths)
 
 
 class TestJacobiPca:

@@ -169,7 +169,7 @@ class TestReduceLROnPlateau:
         assert lr_trace(run) == [1.0, 1.0, 1.0, 0.5]  # reduction fires at end of epoch 3
 
     def test_counter_resets_after_reduction(self):
-        plateau = Plateau(patience=2)
+        plateau = Plateau(patience=2, min_delta=1e-4)
         assert not plateau.step(1.0)
         assert not plateau.step(1.0)
         assert plateau.step(1.0)  # reduce, counter resets
