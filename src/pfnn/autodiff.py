@@ -69,11 +69,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def __float__(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"float() needs a scalar tensor, got shape {self.shape}")
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 

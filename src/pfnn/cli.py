@@ -88,10 +88,10 @@ def _class_index(name: str, class_names) -> int:
 # gen-data
 
 
-def _parse_flag(flag: str, parse, text: str):
-    """``parse(text)``, whose ValueError names the flag, as a bad train flag names its key."""
+def _parse_flag(flag: str, parse, value):
+    """``parse(value)``, whose ValueError names the flag, as a bad train flag names its key."""
     try:
-        return parse(text)
+        return parse(value)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
 
@@ -100,11 +100,8 @@ def cmd_gen_data(args) -> int:
     holdout = args.holdout is not None
     if holdout != (args.holdout_out is not None):
         raise ValueError("--holdout and --holdout-out must be given together")
-    if holdout:
-        if args.holdout <= 0:
-            raise ValueError(f"--holdout must be positive, got {args.holdout}")
-        if Path(args.holdout_out).resolve() == Path(args.out).resolve():
-            raise ValueError(f"--holdout-out and --out are the same file: {args.out}")
+    if holdout and Path(args.holdout_out).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--holdout-out and --out are the same file: {args.out}")
     counts = _parse_flag("--counts", lambda text: tuple(int(c) for c in text.split(",")), args.counts)
     spec = GenSpec(counts=counts, side=args.side, noise_level=args.noise, seed=args.seed)
     data = generate(spec)
@@ -116,7 +113,7 @@ def cmd_gen_data(args) -> int:
         data = _parse_flag("--augment", lambda text: augment_to_share(data, target, float(text), seed=args.seed),
                            share)
     if holdout:
-        blind, data = holdout_extract(data, args.holdout, seed=args.seed)
+        blind, data = _parse_flag("--holdout", lambda n: holdout_extract(data, n, seed=args.seed), args.holdout)
         write_dataset(args.holdout_out, blind)
     write_dataset(args.out, data)
     cnts, shares = class_distribution(data)
@@ -372,7 +369,8 @@ def cmd_report(args) -> int:
     for run in args.compare:
         path = Path(run) / "eval" / f"report_{args.split}.json"
         if not path.exists():
-            raise ValueError(f"{path} missing; run `pfnn eval --run {run}` first")
+            source = "--data FILE" if args.split == "data" else f"--split {args.split}"
+            raise ValueError(f"{path} missing; run `pfnn eval --run {run} {source}` first")
         reports.append(parse_report(path))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -397,9 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic MIDS1 dataset")
     p.add_argument("--counts", required=True, help="per-class counts, e.g. 152,820,1028")
-    p.add_argument("--side", type=int, default=32, help="image side length (default 32)")
-    p.add_argument("--noise", type=float, default=0.05, help="pixel noise level (default 0.05)")
-    p.add_argument("--seed", type=int, default=0, help="generation seed (default 0)")
+    p.add_argument("--side", type=int, default=GenSpec.side, help="image side length (default %(default)s)")
+    p.add_argument("--noise", type=float, default=GenSpec.noise_level,
+                   help="pixel noise level (default %(default)s)")
+    p.add_argument("--seed", type=int, default=GenSpec.seed, help="generation seed (default %(default)s)")
     p.add_argument("--augment", metavar="CLASS:SHARE",
                    help="augment CLASS up to SHARE of the dataset, e.g. normal:0.331")
     p.add_argument("--holdout", type=int, help="extract N blind images before writing")
@@ -435,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="cross-model comparison tables")
     p.add_argument("--compare", nargs="+", required=True, metavar="RUN",
                    help="run directories (evaluated already)")
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", choices=("train", "val", "test", "data"), default="test",
+                   help="evaluated split to compare, 'data' for an --data file (default test)")
     p.add_argument("--out", default="comparison", help="output directory (default comparison)")
     p.set_defaults(func=cmd_report)
 

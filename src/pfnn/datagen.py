@@ -73,7 +73,7 @@ class GenSpec:
 
     def __post_init__(self):
         if self.side < 8:
-            raise ValueError(f"side length must be >= 8, got {self.side}")
+            raise ValueError(f"side must be >= 8, got {self.side}")
         if len(self.counts) != len(CLASS_NAMES) or any(c < 0 for c in self.counts):
             raise ValueError(f"counts must be {len(CLASS_NAMES)} nonnegative integers, got {self.counts}")
         if sum(self.counts) < 1:

@@ -41,23 +41,8 @@ def confusion(labels, predictions, num_classes: int) -> np.ndarray:
     return matrix
 
 
-@dataclass
-class ClassificationStats:
-    precision: tuple[float, ...]
-    recall: tuple[float, ...]
-    f1: tuple[float, ...]
-    support: tuple[int, ...]
-    accuracy: float
-    macro_f1: float
-    f1_mean: float
-    f1_std: float
-    recall_mean: float
-    recall_min: float
-    recall_std: float
-    degenerate: tuple[str, ...]
-
-
-def classification_report(matrix: np.ndarray) -> ClassificationStats:
+def classification_report(matrix: np.ndarray) -> dict:
+    """The ``EvalReport`` fields a confusion matrix fixes, by field name, in field order."""
     matrix = np.asarray(matrix)
     total = int(matrix.sum())
     if total < 1:
@@ -82,20 +67,20 @@ def classification_report(matrix: np.ndarray) -> ClassificationStats:
             f1[c] = 2.0 * precision[c] * recall[c] / (precision[c] + recall[c])
         else:
             degenerate.append(f"f1[{c}]")
-    return ClassificationStats(
-        precision=tuple(precision.tolist()),
-        recall=tuple(recall.tolist()),
-        f1=tuple(f1.tolist()),
-        support=tuple(int(s) for s in row_sums),
-        accuracy=float(diag.sum() / total),
-        macro_f1=float(f1.mean()),
-        f1_mean=float(f1.mean()),
-        f1_std=float(f1.std()),
-        recall_mean=float(recall.mean()),
-        recall_min=float(recall.min()),
-        recall_std=float(recall.std()),
-        degenerate=tuple(degenerate),
-    )
+    return {
+        "precision": tuple(precision.tolist()),
+        "recall": tuple(recall.tolist()),
+        "f1": tuple(f1.tolist()),
+        "support": tuple(int(s) for s in row_sums),
+        "accuracy": float(diag.sum() / total),
+        "macro_f1": float(f1.mean()),
+        "f1_mean": float(f1.mean()),
+        "f1_std": float(f1.std()),
+        "recall_mean": float(recall.mean()),
+        "recall_min": float(recall.min()),
+        "recall_std": float(recall.std()),
+        "degenerate": tuple(degenerate),
+    }
 
 
 @dataclass
@@ -167,8 +152,7 @@ def build_report(model: str, split: str, labels, predictions, probs, loss: float
     """Assemble the full report; per-class ROC is skipped (None) for any
     class that is all-positive or all-negative on this split."""
     class_names = tuple(class_names)
-    matrix = confusion(labels, predictions, len(class_names))
-    stats = classification_report(matrix)
+    stats = classification_report(confusion(labels, predictions, len(class_names)))
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
     roc: dict[str, RocCurve | None] = {}
@@ -179,7 +163,7 @@ def build_report(model: str, split: str, labels, predictions, probs, loss: float
         else:
             roc[name] = None
     return EvalReport(model=model, split=split, class_names=class_names, loss=float(loss),
-                      roc=roc, **asdict(stats))
+                      roc=roc, **stats)
 
 
 def overfit_deltas(train_report: EvalReport, test_report: EvalReport) -> tuple[float, float, float]:

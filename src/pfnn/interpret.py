@@ -59,12 +59,6 @@ def grad_cam(model: ModelSpec, image: np.ndarray, target_class: int) -> CamMap:
     return CamMap(raw=raw, upsampled=upsampled, alphas=alphas)
 
 
-def cam_overlay(image: np.ndarray, cam: np.ndarray) -> np.ndarray:
-    """0.5 * grayscale + 0.5 * colormapped CAM, as (H, W, 3) floats."""
-    gray = np.repeat(np.asarray(image, dtype=np.float64).reshape(cam.shape + (1,)), 3, axis=-1)
-    return 0.5 * gray + 0.5 * heat_colormap(cam)
-
-
 @dataclass
 class CamCase:
     sample_id: int
@@ -83,7 +77,7 @@ class CamGallery:
 
 def cam_case_gallery(
     model: ModelSpec, dataset: LabeledImageSet, n_correct: int, n_wrong: int,
-    out_dir, target_class: int = 2,
+    out_dir, target_class: int,
 ) -> CamGallery:
     """Emit side-by-side original/overlay images for the highest-confidence
     correct cases of ``target_class`` and its most confident errors.
@@ -111,8 +105,7 @@ def cam_case_gallery(
             i = int(i)
             cam = grad_cam(model, dataset.images[i], target_class)
             gray = np.repeat(dataset.images[i].astype(np.float64), 3, axis=-1)
-            overlay = cam_overlay(dataset.images[i], cam.upsampled)
-            panel = np.concatenate([gray, overlay], axis=1)
+            panel = np.concatenate([gray, 0.5 * gray + 0.5 * heat_colormap(cam.upsampled)], axis=1)
             name = f"case_{i}_{kind}.ppm"
             write_ppm(out_dir / name, panel)
             np.savetxt(out_dir / f"case_{i}_{kind}_raw.csv", cam.raw, delimiter=",")

@@ -205,9 +205,12 @@ def _forward_blocks(
     than 4 rows differently (seen on the 3-wide output layer), and numpy
     sends a lone row to gemv. So every row is bit-identical to one
     forward over all the images, whatever the block size, on one numpy
-    build, OpenBLAS kernel and BLAS thread count (``OPENBLAS_CORETYPE``
-    and ``OPENBLAS_NUM_THREADS`` pin the last two). Only the
-    current block is cast to float64; float32 pixels are never copied whole.
+    build and OpenBLAS kernel at 1 BLAS thread (``OPENBLAS_CORETYPE`` and
+    ``OPENBLAS_NUM_THREADS=1`` pin the last two). At more threads OpenBLAS
+    may split the whole forward's GEMM rows between its threads unlike a
+    block's, and a row can then differ in its last bits (seen with the
+    Haswell kernel at 2 threads). Only the current block is cast to
+    float64; float32 pixels are never copied whole.
     A block whose probabilities or captures are not finite raises
     ``NonFiniteOutputs``, and its overflow raises no numpy warning.
     """

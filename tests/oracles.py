@@ -20,9 +20,9 @@ def fd_gradient(forward, array: np.ndarray, step: float = 1e-5) -> np.ndarray:
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + step
-        hi = float(forward())
+        hi = float(forward().data)
         flat[i] = orig - step
-        lo = float(forward())
+        lo = float(forward().data)
         flat[i] = orig
         grad[i] = (hi - lo) / (2.0 * step)
     return grad.reshape(array.shape)

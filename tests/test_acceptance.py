@@ -403,10 +403,10 @@ def test_criterion_05_desk_scale_training():
     stats = classification_report(confusion(test.labels.astype(int), preds, 3))
     elapsed = time.perf_counter() - start
 
-    ok = (len(run.history) <= 30 and stats.accuracy >= 0.95
-          and stats.recall_min >= 0.90 and elapsed < 600.0)
+    ok = (len(run.history) <= 30 and stats["accuracy"] >= 0.95
+          and stats["recall_min"] >= 0.90 and elapsed < 600.0)
     assert verdict(5, "desk-scale training", ok,
-                   f"acc {stats.accuracy:.4f}, recall_min {stats.recall_min:.4f}, "
+                   f"acc {stats['accuracy']:.4f}, recall_min {stats['recall_min']:.4f}, "
                    f"{len(run.history)} epochs, {elapsed:.0f}s")
 
 
@@ -431,9 +431,9 @@ def test_criterion_06_ablation_direction():
             probs, _ = predict(model, test.images)
             stats = classification_report(confusion(test.labels.astype(int),
                                                     probs.argmax(axis=1), 3))
-            accs[arm].append(stats.accuracy)
-            malignant_recall[arm].append(stats.recall[2])
-            recall_min[arm].append(stats.recall_min)
+            accs[arm].append(stats["accuracy"])
+            malignant_recall[arm].append(stats["recall"][2])
+            recall_min[arm].append(stats["recall_min"])
 
     acc_delta = float(np.mean(accs["fusion"]) - np.mean(accs["baseline"]))
     mal_delta = float(np.mean(malignant_recall["fusion"]) - np.mean(malignant_recall["baseline"]))

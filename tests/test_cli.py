@@ -150,8 +150,20 @@ class TestGenData:
         capsys.readouterr()
         assert main(["gen-data", "--counts", "5,5,5", "--side", "8", *holdout,
                      "--holdout-out", str(tmp_path / "hh.mids"), "--out", str(tmp_path / "o.mids")]) == 1
-        expected = "--holdout must be positive, got 0" if holdout else \
+        expected = "--holdout: holdout size must be positive, got 0" if holdout else \
             "--holdout and --holdout-out must be given together"
+        assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args,expected", [
+        (["--side", "7"], "side must be >= 8, got 7"),
+        (["--side", "8", "--holdout", "20", "--holdout-out", "hh.mids"],
+         "--holdout: holdout size 20 must be smaller than the dataset (15)"),
+    ], ids=["side", "holdout-not-smaller"])
+    def test_bad_value_is_one_error_line_and_no_file(self, tmp_path, capsys, monkeypatch, args, expected):
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["gen-data", "--counts", "5,5,5", *args, "--out", "o.mids"]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
         assert not list(tmp_path.iterdir())
 
@@ -800,6 +812,24 @@ class TestReportCommand:
         fresh = tmp_path / "fresh"
         main(["train", "--data", str(data), "--out", str(fresh), "--seed", "9", *TRAIN_ARGS])
         assert main(["report", "--compare", str(fresh), "--out", str(tmp_path / "c")]) == 1
+
+    def test_unknown_split_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--compare", str(tmp_path), "--split", "foo", "--out", str(tmp_path / "c")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split,source", [("val", "--split val"), ("data", "--data FILE")])
+    def test_missing_report_hint_names_the_eval_that_writes_it(self, mini, tmp_path, capsys, split, source):
+        _, run = mini
+        tested = tmp_path / "tested"
+        shutil.copytree(run, tested, ignore=shutil.ignore_patterns("eval", "pca", "gradcam"))
+        assert main(["eval", "--run", str(tested)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--compare", str(tested), "--split", split, "--out", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {tested / 'eval' / f'report_{split}.json'} missing")
+        assert f"run `pfnn eval --run {tested} {source}` first" in err[0]
 
     @pytest.mark.parametrize("path,value", [
         (("accuracy",), [1, 2]), (("loss",), "0.5"), (("macro_f1",), True), (("recall_min",), None),

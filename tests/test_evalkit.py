@@ -45,28 +45,28 @@ class TestConfusion:
 
     def test_diagonal_matrix_means_accuracy_one(self):
         matrix = confusion(np.array([0, 0, 1, 2]), np.array([0, 0, 1, 2]), 3)
-        assert classification_report(matrix).accuracy == 1.0
+        assert classification_report(matrix)["accuracy"] == 1.0
 
 
 class TestClassificationReport:
     def test_perfect_three_class(self):
         matrix = np.diag([5, 5, 5])
         stats = classification_report(matrix)
-        assert stats.macro_f1 == 1.0
-        assert stats.f1_std == 0.0
-        assert stats.recall_min == 1.0
-        assert stats.degenerate == ()
+        assert stats["macro_f1"] == 1.0
+        assert stats["f1_std"] == 0.0
+        assert stats["recall_min"] == 1.0
+        assert stats["degenerate"] == ()
 
     def test_collapsed_predictor_hand_values(self):
         # balanced labels, everything predicted class 0
         labels = np.repeat([0, 1, 2], 4)
         preds = np.zeros(12, dtype=int)
         stats = classification_report(confusion(labels, preds, 3))
-        assert stats.f1[0] == pytest.approx(0.5)
-        assert stats.f1[1] == 0.0 and stats.f1[2] == 0.0
-        assert stats.macro_f1 == pytest.approx(1 / 6)
-        assert stats.recall_min == 0.0
-        assert "precision[1]" in stats.degenerate
+        assert stats["f1"][0] == pytest.approx(0.5)
+        assert stats["f1"][1] == 0.0 and stats["f1"][2] == 0.0
+        assert stats["macro_f1"] == pytest.approx(1 / 6)
+        assert stats["recall_min"] == 0.0
+        assert "precision[1]" in stats["degenerate"]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_brute_force(self, seed):
@@ -78,10 +78,10 @@ class TestClassificationReport:
         stats = classification_report(confusion(labels, preds, c))
         ref = metrics_brute_force(labels, preds, c)
         for key in ("precision", "recall", "f1"):
-            np.testing.assert_allclose(getattr(stats, key), ref[key], atol=1e-12)
+            np.testing.assert_allclose(stats[key], ref[key], atol=1e-12)
         for key in ("accuracy", "macro_f1", "f1_std", "recall_min", "recall_std",
                     "f1_mean", "recall_mean"):
-            assert getattr(stats, key) == pytest.approx(ref[key], abs=1e-12)
+            assert stats[key] == pytest.approx(ref[key], abs=1e-12)
 
     def test_micro_recall_equals_accuracy(self):
         rng = np.random.default_rng(77)
@@ -89,7 +89,7 @@ class TestClassificationReport:
         preds = rng.integers(0, 3, 40)
         matrix = confusion(labels, preds, 3)
         micro_recall = np.trace(matrix) / matrix.sum()
-        assert classification_report(matrix).accuracy == micro_recall
+        assert classification_report(matrix)["accuracy"] == micro_recall
 
     def test_sample_order_invariance(self):
         rng = np.random.default_rng(78)
